@@ -195,6 +195,11 @@ assert not a["config"].get("attrib") and not b["config"].get("attrib")
 PYEOF
 rm -f "$out/fig14_plain_env0.json"
 
+# Benchmark self-test: perfbench (its own Release build of libcontig
+# from src/) must reproduce every stored per-cell simulated digest.
+echo "=== perfbench self-test ==="
+(cd "$root" && CARGO_TARGET_DIR="$out" python3 perfbench/run.py --selftest)
+
 # Regression gate: the fig09 rows/metrics must match the committed
 # baseline within contig_inspect's per-metric tolerances.
 echo "=== baseline gate ==="

@@ -186,7 +186,8 @@ NativeSystem::run(Workload &wl, std::uint64_t sample_period)
         [&](obs::StateSampler &sampler) {
             sampler.addSegProbe(
                 "1d", &proc,
-                [&proc] { return extractSegs(proc.pageTable()); }, true);
+                [&proc] { return extractSegs(proc.pageTable()); }, true,
+                {&proc.pageTable()});
         });
 }
 

@@ -208,58 +208,6 @@ PageTable::setWritable(Vpn vpn, bool writable, bool cow)
     }
 }
 
-void
-PageTable::forEachLeafIn(
-    const Node *node, Vpn base,
-    const std::function<void(Vpn, const Mapping &)> &fn) const
-{
-    const std::uint64_t span = std::uint64_t{1} << (9 * (node->level - 1));
-    for (unsigned i = 0; i < kPtFanout; ++i) {
-        const Slot &slot = node->slots[i];
-        const Vpn child_base = base + i * span;
-        if (slot.present)
-            fn(child_base, slot.leaf);
-        else if (slot.child)
-            forEachLeafIn(slot.child.get(), child_base, fn);
-    }
-}
-
-void
-PageTable::forEachLeaf(
-    const std::function<void(Vpn, const Mapping &)> &fn) const
-{
-    forEachLeafIn(root_.get(), 0, fn);
-}
-
-void
-PageTable::forEachLeafInRange(
-    const Node *node, Vpn base, Vpn start, Vpn end,
-    const std::function<void(Vpn, const Mapping &)> &fn) const
-{
-    const std::uint64_t span = std::uint64_t{1} << (9 * (node->level - 1));
-    unsigned i = start > base ? static_cast<unsigned>((start - base) / span)
-                              : 0;
-    for (; i < kPtFanout; ++i) {
-        const Vpn child_base = base + i * span;
-        if (child_base >= end)
-            return;
-        const Slot &slot = node->slots[i];
-        if (slot.present)
-            fn(child_base, slot.leaf);
-        else if (slot.child)
-            forEachLeafInRange(slot.child.get(), child_base, start, end, fn);
-    }
-}
-
-void
-PageTable::forEachLeafIn(
-    Vpn start, Vpn end,
-    const std::function<void(Vpn, const Mapping &)> &fn) const
-{
-    if (start < end)
-        forEachLeafInRange(root_.get(), 0, start, end, fn);
-}
-
 Vpn
 PageTable::findMappedInNode(const Node *node, Vpn base, Vpn start,
                             Vpn end) const

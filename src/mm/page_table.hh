@@ -129,11 +129,16 @@ class PageTable
     void setWritable(Vpn vpn, bool writable, bool cow);
 
     /**
-     * Visit every leaf in ascending vpn order:
-     * fn(vpn, mapping).
+     * Visit every leaf in ascending vpn order: fn(vpn, mapping).
+     * A template so the visitor inlines into the descent — contiguity
+     * extraction walks every leaf at each observatory capture.
      */
-    void forEachLeaf(
-        const std::function<void(Vpn, const Mapping &)> &fn) const;
+    template <typename Fn>
+    void
+    forEachLeaf(Fn &&fn) const
+    {
+        forEachLeafIn(0, ~Vpn{0}, fn);
+    }
 
     /**
      * Visit every leaf intersecting [start, end), ascending. One radix
@@ -141,9 +146,13 @@ class PageTable
      * batch paths (fork COW sharing, VMA teardown) use this instead of
      * filtering a whole-table walk.
      */
-    void forEachLeafIn(
-        Vpn start, Vpn end,
-        const std::function<void(Vpn, const Mapping &)> &fn) const;
+    template <typename Fn>
+    void
+    forEachLeafIn(Vpn start, Vpn end, Fn &&fn) const
+    {
+        if (start < end)
+            visitLeaves(*root_, 0, start, end, fn);
+    }
 
     /**
      * First vpn in [start, end) covered by a present leaf, or `end`
@@ -186,12 +195,18 @@ class PageTable
 
     /**
      * Mapping-change epoch: bumped by every leaf mutation (map,
-     * unmap, setContigBit, setWritable, RunMapper installs). Software
-     * walk memos key their entries on this counter so any change to
-     * the table — guest or nested — invalidates cached traversals
-     * without a flush broadcast. Monotonic; relaxed is enough because
-     * readers only compare for equality against a value they stored
-     * under the same ordering regime as the walk itself.
+     * unmap, setContigBit, setWritable, RunMapper installs). Two
+     * consumers key cached results on it, so any change to the table
+     * — guest or nested — invalidates them without a flush broadcast:
+     *  - the software walk memos (tlb/walk_memo.hh) key their cached
+     *    traversals on it;
+     *  - the observatory's StateSampler keys each segment probe's
+     *    last extraction and coverage on the generations of the
+     *    tables the probe reads, re-extracting only when one moved.
+     * Removing the walk memo therefore does not remove this counter.
+     * Monotonic; relaxed is enough because readers only compare for
+     * equality against a value they stored under the same ordering
+     * regime as their own traversal.
      */
     std::uint64_t generation() const
     { return generation_.load(std::memory_order_relaxed); }
@@ -233,14 +248,9 @@ class PageTable
     void freeNodes(Node *node);
     Pfn allocNodeFrame();
 
-    void
-    forEachLeafIn(const Node *node, Vpn base,
-                  const std::function<void(Vpn, const Mapping &)> &fn) const;
-
-    void
-    forEachLeafInRange(
-        const Node *node, Vpn base, Vpn start, Vpn end,
-        const std::function<void(Vpn, const Mapping &)> &fn) const;
+    template <typename Fn>
+    static void visitLeaves(const Node &node, Vpn base, Vpn start,
+                            Vpn end, Fn &fn);
 
     Vpn findMappedInNode(const Node *node, Vpn base, Vpn start,
                          Vpn end) const;
@@ -254,6 +264,26 @@ class PageTable
     PageTableStats stats_;
     std::atomic<std::uint64_t> generation_{0};
 };
+
+template <typename Fn>
+void
+PageTable::visitLeaves(const Node &node, Vpn base, Vpn start, Vpn end,
+                       Fn &fn)
+{
+    const std::uint64_t span = std::uint64_t{1} << (9 * (node.level - 1));
+    unsigned i = start > base ? static_cast<unsigned>((start - base) / span)
+                              : 0;
+    for (; i < kPtFanout; ++i) {
+        const Vpn child_base = base + i * span;
+        if (child_base >= end)
+            return;
+        const Slot &slot = node.slots[i];
+        if (slot.present)
+            fn(child_base, slot.leaf);
+        else if (slot.child)
+            visitLeaves(*slot.child, child_base, start, end, fn);
+    }
+}
 
 /**
  * Batched 4 KiB installs: caches the level-1 node across map() calls

@@ -56,13 +56,8 @@ Process::touchRange(Gva gva, std::uint64_t bytes, Access access)
 void
 Process::noteTouched(Vma &vma, Vpn vpn)
 {
-    const std::uint64_t idx = vpn - vma.start().pageNumber();
-    if (vma.touchedBitmap.empty())
-        vma.touchedBitmap.resize(vma.pages(), false);
-    if (!vma.touchedBitmap[idx]) {
-        vma.touchedBitmap[idx] = true;
+    if (vma.markTouched(vpn - vma.start().pageNumber()))
         ++vma.touchedPages;
-    }
 }
 
 Process &

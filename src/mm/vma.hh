@@ -12,6 +12,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -230,8 +231,48 @@ class Vma
     std::uint64_t touchedPages = 0;
     /** Pages of physical memory allocated to back this VMA. */
     std::uint64_t allocatedPages = 0;
-    /** Lazily sized per-page touched bits (bloat accounting). */
-    std::vector<bool> touchedBitmap;
+    /**
+     * Lazily sized per-page touched bits (bloat accounting), 64 pages
+     * per word: bit (i % 64) of word i / 64 is page i of the VMA.
+     */
+    std::vector<std::uint64_t> touchedBitmap;
+
+    /** Set page idx's touched bit; true when it was clear. */
+    bool
+    markTouched(std::uint64_t idx)
+    {
+        if (touchedBitmap.empty())
+            touchedBitmap.resize((pages() + 63) / 64, 0);
+        std::uint64_t &word = touchedBitmap[idx / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
+        if (word & bit)
+            return false;
+        word |= bit;
+        return true;
+    }
+
+    /**
+     * Touched pages among [first, first + count): whole-word popcounts
+     * when first is 64-page aligned and count a multiple of 64, bit by
+     * bit otherwise.
+     */
+    std::uint64_t
+    touchedIn(std::uint64_t first, std::uint64_t count) const
+    {
+        if (touchedBitmap.empty())
+            return 0;
+        std::uint64_t n = 0;
+        if (first % 64 == 0 && count % 64 == 0) {
+            for (std::uint64_t w = first / 64; w < (first + count) / 64;
+                 ++w)
+                n += static_cast<std::uint64_t>(
+                    std::popcount(touchedBitmap[w]));
+            return n;
+        }
+        for (std::uint64_t i = first; i < first + count; ++i)
+            n += (touchedBitmap[i / 64] >> (i % 64)) & 1;
+        return n;
+    }
 
   private:
     std::uint32_t id_;

@@ -50,10 +50,16 @@ StateSampler::detachKernel()
 
 void
 StateSampler::addSegProbe(std::string dim, const Process *proc,
-                          SegProbe fn, bool track_coverage)
+                          SegProbe fn, bool track_coverage,
+                          std::vector<const PageTable *> tables)
 {
-    probes_.push_back(
-        Probe{std::move(dim), proc, std::move(fn), track_coverage});
+    Probe probe;
+    probe.dim = std::move(dim);
+    probe.proc = proc;
+    probe.fn = std::move(fn);
+    probe.trackCoverage = track_coverage;
+    probe.tables = std::move(tables);
+    probes_.push_back(std::move(probe));
 }
 
 void
@@ -61,13 +67,30 @@ StateSampler::attachVm(const Process &guest_proc,
                        const VirtualMachine &vm)
 {
     const Process *proc = &guest_proc;
+    const PageTable *gpt = &guest_proc.pageTable();
     addSegProbe(
-        "1d", proc, [proc] { return extractSegs(proc->pageTable()); },
-        false);
+        "1d", proc, [gpt] { return extractSegs(*gpt); }, false, {gpt});
     const VirtualMachine *vmp = &vm;
     addSegProbe(
         "2d", proc, [proc, vmp] { return extract2d(*proc, *vmp); },
-        true);
+        true, {gpt, &vm.nestedPageTable()});
+}
+
+bool
+StateSampler::Probe::refresh()
+{
+    // Read the generations before extracting: a concurrent mutation
+    // then at worst forces one redundant re-extraction.
+    std::vector<std::uint64_t> now;
+    for (const PageTable *pt : tables)
+        now.push_back(pt->generation());
+    if (!tables.empty() && now == generations)
+        return false;
+    generations = std::move(now);
+    segs = fn();
+    if (trackCoverage)
+        coverage = contig::coverage(segs);
+    return true;
 }
 
 void
@@ -135,12 +158,16 @@ StateSampler::capture(Snapshot &snap, std::uint64_t tick)
         }
     }
 
-    for (const Probe &probe : probes_) {
-        const std::vector<Seg> segs = probe.fn();
+    for (Probe &probe : probes_) {
+        if (probe.refresh())
+            ++probeRuns_;
+        const std::vector<Seg> &segs = probe.segs;
         if (probe.trackCoverage) {
             snap.hasCoverage = true;
-            snap.coverage = coverage(segs);
+            snap.coverage = probe.coverage;
         }
+        // VMA spans can change without a leaf change, so the per-VMA
+        // runs are recomputed on every capture.
         if (probe.proc) {
             std::vector<VmaSpan> spans;
             probe.proc->addressSpace().forEachVma([&](const Vma &vma) {

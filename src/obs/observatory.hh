@@ -38,6 +38,7 @@ namespace contig
 {
 
 class Kernel;
+class PageTable;
 class Process;
 class ReplayEngine;
 class TranslationSim;
@@ -101,9 +102,14 @@ class StateSampler
      * Register a segment probe. `proc` (optional) attributes runs to
      * its VMAs; `track_coverage` makes this probe fill the
      * snapshot's coverage metrics (at most one probe should).
+     * `tables` are the page tables the probe reads: while none of
+     * their generations has moved, a capture reuses the probe's last
+     * segments and coverage instead of re-running it. A probe that
+     * declares no tables runs on every capture.
      */
     void addSegProbe(std::string dim, const Process *proc, SegProbe fn,
-                     bool track_coverage);
+                     bool track_coverage,
+                     std::vector<const PageTable *> tables = {});
 
     /**
      * VM registration: adds the guest 1-D probe (gVA -> gPA) and the
@@ -148,6 +154,8 @@ class StateSampler
 
     const std::vector<Snapshot> &snapshots() const { return snapshots_; }
     std::uint64_t captures() const { return seqNext_; }
+    /** Seg-probe extractions run so far (reused captures run none). */
+    std::uint64_t probeRuns() const { return probeRuns_; }
     std::uint64_t periodFaults() const { return periodFaults_; }
     void setPeriodFaults(std::uint64_t p) { periodFaults_ = p; }
     const SamplerConfig &config() const { return cfg_; }
@@ -159,6 +167,17 @@ class StateSampler
         const Process *proc = nullptr;
         SegProbe fn;
         bool trackCoverage = false;
+        std::vector<const PageTable *> tables;
+        /** tables' generations when segs was extracted. */
+        std::vector<std::uint64_t> generations;
+        std::vector<Seg> segs;
+        CoverageMetrics coverage;
+
+        /**
+         * Re-run fn unless every declared table is unchanged; true
+         * when it ran.
+         */
+        bool refresh();
     };
 
     void capture(Snapshot &snap, std::uint64_t tick);
@@ -168,6 +187,7 @@ class StateSampler
     std::uint64_t periodFaults_ = 0;
     std::uint64_t sinceSample_ = 0;
     std::uint64_t seqNext_ = 0;
+    std::uint64_t probeRuns_ = 0;
     Kernel *kernel_ = nullptr;
     bool engineAttached_ = false;
     const TranslationSim *xlat_ = nullptr;

@@ -46,15 +46,10 @@ IngensPolicy::onTick(Kernel &kernel)
                 auto m = proc.pageTable().lookup(base);
                 if (m && m->order == kHugeOrder)
                     continue;
-                // Count touched pages in the region.
-                const Vpn rel = base - vma.start().pageNumber();
                 if (vma.touchedBitmap.empty())
                     continue;
-                std::uint64_t touched = 0;
-                for (std::uint64_t i = 0; i < huge_pages; ++i)
-                    if (vma.touchedBitmap[rel + i])
-                        ++touched;
-                if (touched < needed)
+                const Vpn rel = base - vma.start().pageNumber();
+                if (vma.touchedIn(rel, huge_pages) < needed)
                     continue;
                 if (promoteHuge(kernel, proc, base)) {
                     ++stats_.promotions;

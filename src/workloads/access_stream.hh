@@ -1,12 +1,12 @@
 /**
  * @file
  * Chunked access-stream generator. The replay engine does not pull
- * accesses one at a time — each pull was a virtual call into the
- * workload plus RNG state threading. AccessStream drains the
- * workload's steady-state generator into fixed-size contiguous
- * MemAccess buffers, so the consumer sees plain arrays and the
- * workload's virtual dispatch happens once per chunk
- * (Workload::fillAccesses).
+ * accesses one at a time: AccessStream drains the workload's
+ * steady-state generator into fixed-size contiguous MemAccess
+ * buffers, so the consumer sees plain arrays. Generation itself is
+ * not batched — Workload::fillAccesses is one call per chunk, but no
+ * workload overrides it, so its base loop still makes one virtual
+ * nextAccess call per access.
  *
  * Determinism: the stream owns its own Rng seeded at construction and
  * produces exactly the sequence `wl.nextAccess(rng)` would — chunk

@@ -77,9 +77,12 @@ class Workload
     /**
      * Fill a chunk of steady-state accesses. Semantically exactly
      * `for (i < n) out[i] = nextAccess(rng)` — the base implementation
-     * is that loop — with the workload virtual dispatch hoisted to
-     * once per chunk. Overrides must produce the identical sequence
-     * (tests/workloads compare against nextAccess element-wise).
+     * is that loop. The call into fillAccesses is one virtual call
+     * per chunk, but no workload overrides it, so each access is
+     * still one virtual nextAccess call. An override that inlines its
+     * generator would remove that; it must produce the identical
+     * sequence (tests/workloads compare against nextAccess
+     * element-wise).
      */
     virtual void fillAccesses(Rng &rng, MemAccess *out, std::size_t n);
 

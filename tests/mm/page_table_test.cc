@@ -118,6 +118,53 @@ TEST(PageTable, ForEachLeafAscending)
     EXPECT_EQ(seen[2], 512u * 9);
 }
 
+TEST(PageTable, ForEachLeafInClipsMixedLeaves)
+{
+    PageTable pt;
+    pt.map(100, 1, 0);
+    pt.map(512, 512, kHugeOrder); // [512, 1024)
+    pt.map(700 + 512, 3, 0);      // 1212
+    pt.map(1536, 1024, kHugeOrder); // [1536, 2048)
+    pt.map(2100, 4, 0);
+    pt.map(Vpn{1} << 18, 2048, kHugeOrder); // another level-3 subtree
+    pt.map((Vpn{1} << 18) + 512 + 9, 5, 0);
+
+    const auto visit = [&pt](Vpn start, Vpn end) {
+        std::vector<Vpn> seen;
+        pt.forEachLeafIn(start, end,
+                         [&](Vpn v, const Mapping &) { seen.push_back(v); });
+        return seen;
+    };
+    using V = std::vector<Vpn>;
+    // A huge leaf straddling start is visited; a leaf at end is not.
+    EXPECT_EQ(visit(600, 2100), (V{512, 1212, 1536}));
+    EXPECT_EQ(visit(600, 2101), (V{512, 1212, 1536, 2100}));
+    EXPECT_EQ(visit(1024, 1536), (V{1212}));
+    EXPECT_EQ(visit(1024, 1537), (V{1212, 1536}));
+    EXPECT_EQ(visit(2047, 2100), (V{1536}));
+    EXPECT_EQ(visit(101, 512), V{});
+    EXPECT_EQ(visit(100, 100), V{});
+    EXPECT_EQ(visit(2101, 100), V{});
+    EXPECT_EQ(visit(2000, (Vpn{1} << 18) + 1),
+              (V{1536, 2100, Vpn{1} << 18}));
+    EXPECT_EQ(visit((Vpn{1} << 18) + 520, Vpn{1} << 36),
+              (V{(Vpn{1} << 18) + 521}));
+
+    // The whole-range visit is forEachLeaf, ascending.
+    const V all = visit(0, Vpn{1} << 36);
+    EXPECT_EQ(all, (V{100, 512, 1212, 1536, 2100, Vpn{1} << 18,
+                      (Vpn{1} << 18) + 521}));
+    V every;
+    pt.forEachLeaf([&](Vpn v, const Mapping &m) {
+        every.push_back(v);
+        if (v == 1536) {
+            EXPECT_EQ(m.order, kHugeOrder);
+            EXPECT_EQ(m.pfn, 1024u);
+        }
+    });
+    EXPECT_EQ(every, all);
+}
+
 TEST(PageTable, NodeAllocatorUsed)
 {
     Pfn next = 1000;

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "contig/analysis.hh"
 #include "mm/kernel.hh"
 #include "obs/observatory.hh"
 #include "obs/snapshot.hh"
 #include "phys/buddy.hh"
+#include "virt/vm.hh"
 
 using namespace contig;
 using namespace contig::obs;
@@ -262,4 +264,208 @@ TEST(StateSampler, KernellessSampleAtUsesExplicitTick)
     EXPECT_TRUE(snap.zones.empty());
     EXPECT_FALSE(snap.hasCoverage);
     EXPECT_FALSE(snap.hasXlat);
+}
+
+// --- seg-probe reuse ------------------------------------------------------
+
+namespace
+{
+
+/** A 1-D probe over `pt` that counts its extractions. */
+StateSampler::SegProbe
+countingProbe(const PageTable &pt, int &runs)
+{
+    return [&pt, &runs] {
+        ++runs;
+        return extractSegs(pt);
+    };
+}
+
+} // namespace
+
+TEST(StateSampler, ProbeReusedWhileTablesUnchanged)
+{
+    Kernel kernel(smallConfig(), std::make_unique<DefaultThpPolicy>());
+    Process &proc = kernel.createProcess("reuse");
+    Vma &vma = kernel.mmapAnon(proc, 64 * kPageSize);
+    for (std::uint64_t i = 0; i < 40; i += 3)
+        kernel.touch(proc, vma.start() + i * kPageSize, Access::Write);
+
+    int runs = 0;
+    StateSampler sampler;
+    sampler.addSegProbe("1d", &proc, countingProbe(proc.pageTable(), runs),
+                        true, {&proc.pageTable()});
+    sampler.attachKernel(kernel);
+
+    const Snapshot first = sampler.sampleNow();
+    const Snapshot &second = sampler.sampleNow();
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(sampler.probeRuns(), 1u);
+    EXPECT_EQ(sampler.captures(), 2u);
+
+    // The reused snapshot equals a fresh extraction.
+    const std::vector<Seg> fresh = extractSegs(proc.pageTable());
+    const CoverageMetrics cov = coverage(fresh);
+    ASSERT_TRUE(second.hasCoverage);
+    EXPECT_EQ(second.coverage.totalPages, cov.totalPages);
+    EXPECT_EQ(second.coverage.mappings, cov.mappings);
+    EXPECT_EQ(second.coverage.mappingsFor99, cov.mappingsFor99);
+    EXPECT_DOUBLE_EQ(second.coverage.cov32, cov.cov32);
+    EXPECT_DOUBLE_EQ(second.coverage.cov128, cov.cov128);
+    const std::vector<VmaSpan> spans{
+        {vma.start().pageNumber(), vma.start().pageNumber() + vma.pages(),
+         vma.id()}};
+    const auto runs_fresh = vmaRunStats(fresh, spans, proc.pid(), "1d");
+    ASSERT_EQ(second.vmaRuns.size(), runs_fresh.size());
+    for (std::size_t i = 0; i < runs_fresh.size(); ++i) {
+        EXPECT_EQ(second.vmaRuns[i].vmaId, runs_fresh[i].vmaId);
+        EXPECT_EQ(second.vmaRuns[i].pages, runs_fresh[i].pages);
+        EXPECT_EQ(second.vmaRuns[i].runs, runs_fresh[i].runs);
+        EXPECT_EQ(second.vmaRuns[i].maxRun, runs_fresh[i].maxRun);
+        EXPECT_DOUBLE_EQ(second.vmaRuns[i].weightedMeanRun,
+                         runs_fresh[i].weightedMeanRun);
+    }
+    EXPECT_EQ(first.vmaRuns.size(), second.vmaRuns.size());
+
+    // A fault changes the table: the next capture re-extracts.
+    kernel.touch(proc, vma.start() + 50 * kPageSize, Access::Write);
+    const Snapshot &third = sampler.sampleNow();
+    EXPECT_EQ(runs, 2);
+    EXPECT_EQ(third.coverage.totalPages, cov.totalPages + 1);
+}
+
+TEST(StateSampler, VmaRunsFollowSpansWhenTablesUnchanged)
+{
+    // The probe reads a standalone table whose leaves fall in an
+    // untouched VMA: unmapping that VMA changes the spans but no
+    // generation, and the per-VMA runs must still follow.
+    Kernel kernel(smallConfig(), std::make_unique<DefaultThpPolicy>());
+    Process &proc = kernel.createProcess("spans");
+    Vma &vma = kernel.mmapAnon(proc, 16 * kPageSize);
+    const std::uint32_t id = vma.id();
+    PageTable pt;
+    pt.map(vma.start().pageNumber(), 5, 0);
+    pt.map(vma.start().pageNumber() + 1, 6, 0);
+
+    int runs = 0;
+    StateSampler sampler;
+    sampler.addSegProbe("1d", &proc, countingProbe(pt, runs), false,
+                        {&pt});
+    const Snapshot &before = sampler.sampleNow();
+    ASSERT_EQ(before.vmaRuns.size(), 1u);
+    EXPECT_EQ(before.vmaRuns[0].vmaId, id);
+    EXPECT_EQ(before.vmaRuns[0].pages, 2u);
+
+    kernel.munmap(proc, vma);
+    const Snapshot &after = sampler.sampleNow();
+    EXPECT_EQ(runs, 1);
+    EXPECT_TRUE(after.vmaRuns.empty());
+}
+
+TEST(StateSampler, EveryLeafMutationForcesReextraction)
+{
+    PageTable pt;
+    pt.map(0, 100, 0);
+    pt.map(1, 101, 0);
+    int runs = 0;
+    StateSampler sampler;
+    sampler.addSegProbe("1d", nullptr, countingProbe(pt, runs), true,
+                        {&pt});
+
+    const auto expect_runs = [&](int n, const char *what) {
+        sampler.sampleNow();
+        EXPECT_EQ(runs, n) << what;
+        sampler.sampleNow();
+        EXPECT_EQ(runs, n) << what << " (second capture reuses)";
+    };
+    expect_runs(1, "first capture");
+
+    pt.map(2, 102, 0);
+    expect_runs(2, "map");
+    EXPECT_EQ(sampler.snapshots().back().coverage.totalPages, 3u);
+    EXPECT_EQ(sampler.snapshots().back().coverage.mappings, 1u);
+
+    pt.unmap(1, 0);
+    expect_runs(3, "unmap");
+    EXPECT_EQ(sampler.snapshots().back().coverage.mappings, 2u);
+
+    pt.setWritable(0, false, true);
+    expect_runs(4, "setWritable");
+
+    pt.setContigBit(2, true);
+    expect_runs(5, "setContigBit");
+
+    {
+        PageTable::RunMapper mapper(pt);
+        mapper.map(3, 103, true, false);
+    }
+    expect_runs(6, "RunMapper install");
+    EXPECT_EQ(sampler.snapshots().back().coverage.totalPages, 3u);
+    EXPECT_EQ(sampler.snapshots().back().coverage.mappings, 2u);
+
+    // A table the probe did not declare does not invalidate it.
+    PageTable unrelated;
+    unrelated.map(7, 7, 0);
+    expect_runs(6, "undeclared table");
+}
+
+TEST(StateSampler, ProbeWithoutTablesRunsOnEveryCapture)
+{
+    PageTable pt;
+    pt.map(0, 100, 0);
+    int runs = 0;
+    StateSampler sampler;
+    sampler.addSegProbe("1d", nullptr, countingProbe(pt, runs), true);
+    for (int i = 0; i < 3; ++i)
+        sampler.sampleNow();
+    EXPECT_EQ(runs, 3);
+    EXPECT_EQ(sampler.probeRuns(), 3u);
+}
+
+TEST(StateSampler, VmProbesKeyOnGuestAndNestedTables)
+{
+    KernelConfig hcfg;
+    hcfg.phys.bytesPerNode = 256ull << 20;
+    hcfg.phys.numNodes = 1;
+    Kernel host(hcfg, std::make_unique<DefaultThpPolicy>());
+    VmConfig vcfg;
+    vcfg.guestBytesPerNode = 64ull << 20;
+    vcfg.guestNodes = 1;
+    VirtualMachine vm(host, std::make_unique<DefaultThpPolicy>(), vcfg);
+    Process &proc = vm.guest().createProcess("g");
+    Vma &vma = proc.mmap(2 * kHugeSize);
+    proc.touchRange(vma.start(), kHugeSize);
+
+    StateSampler sampler;
+    sampler.attachVm(proc, vm);
+    sampler.sampleNow();
+    const Snapshot &reused = sampler.sampleNow();
+    EXPECT_EQ(sampler.probeRuns(), 2u); // "1d" and "2d", once each
+    const CoverageMetrics cov = coverage(extract2d(proc, vm));
+    EXPECT_EQ(reused.coverage.totalPages, cov.totalPages);
+    EXPECT_EQ(reused.coverage.mappings, cov.mappings);
+
+    // A nested-only change re-runs the 2-D probe alone.
+    PageTable &npt = vm.backing().pageTable();
+    Vpn nested_leaf = 0;
+    bool found = false;
+    npt.forEachLeaf([&](Vpn v, const Mapping &) {
+        if (!found) {
+            nested_leaf = v;
+            found = true;
+        }
+    });
+    ASSERT_TRUE(found);
+    npt.setContigBit(nested_leaf, true);
+    sampler.sampleNow();
+    EXPECT_EQ(sampler.probeRuns(), 3u);
+    npt.setContigBit(nested_leaf, false);
+
+    // A guest fault changes the guest table (and backs new frames):
+    // both probes re-run.
+    proc.touch(vma.start() + kHugeSize);
+    sampler.sampleNow();
+    EXPECT_EQ(sampler.probeRuns(), 5u);
+    sampler.sampleNow();
+    EXPECT_EQ(sampler.probeRuns(), 5u);
 }

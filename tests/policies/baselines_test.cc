@@ -157,6 +157,141 @@ TEST(Ingens, SkipsUnderUtilizedRegions)
     EXPECT_EQ(ingens->stats().promotions, 0u);
 }
 
+namespace
+{
+
+/** Clear n touched bits scattered over the region at VMA offset rel. */
+void
+clearTouched(Vma &vma, std::uint64_t rel, unsigned n)
+{
+    const std::uint64_t huge = pagesInOrder(kHugeOrder);
+    for (unsigned k = 0; k < n; ++k) {
+        const std::uint64_t idx = rel + (k * 37) % huge; // 37 odd: distinct
+        vma.touchedBitmap[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
+    }
+}
+
+} // namespace
+
+TEST(Ingens, TouchedBitmapCountsMatchBitByBit)
+{
+    Vma vma(1, Gva{Addr{1} << 32}, 4 * kHugeSize, VmaKind::Anon);
+    std::vector<bool> naive(vma.pages(), false);
+    std::uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (int k = 0; k < 1500; ++k) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const std::uint64_t idx = x % vma.pages();
+        EXPECT_EQ(vma.markTouched(idx), !naive[idx]);
+        naive[idx] = true;
+    }
+    const std::uint64_t huge = pagesInOrder(kHugeOrder);
+    for (std::uint64_t first : {0ull, 1ull, 63ull, 64ull, 509ull, 512ull,
+                                1021ull, 1536ull}) {
+        std::uint64_t expect = 0;
+        for (std::uint64_t i = first; i < first + huge; ++i)
+            expect += naive[i];
+        EXPECT_EQ(vma.touchedIn(first, huge), expect) << first;
+    }
+}
+
+/**
+ * Ingens at threshold 0.75 (exactly 384 of a region's 512 pages),
+ * its daemon run only when the test calls onTick.
+ */
+class IngensThreshold : public ::testing::Test
+{
+  protected:
+    static constexpr unsigned kNeeded = 384;
+
+    static KernelConfig
+    config()
+    {
+        KernelConfig cfg = smallConfig();
+        cfg.tickPeriodFaults = std::uint64_t{1} << 30;
+        return cfg;
+    }
+
+    IngensThreshold()
+        : ingens(new IngensPolicy(IngensConfig{0.75, 8})),
+          k(config(), std::unique_ptr<AllocationPolicy>(ingens)),
+          p(k.createProcess("t"))
+    {
+    }
+
+    /**
+     * Both full regions from region1 on are mapped with 4 KiB pages
+     * (promotion needs every leaf present), then touched bits are
+     * cleared so region1 keeps exactly kNeeded and the next region
+     * one fewer: one daemon pass promotes region1 and skips the other
+     * (which, fully mapped, would promote if it were tried).
+     */
+    void
+    expectKnownAnswer(Vma &vma, Gva region1)
+    {
+        const std::uint64_t huge = pagesInOrder(kHugeOrder);
+        p.touchRange(region1, 2 * kHugeSize);
+        ASSERT_EQ(ingens->stats().scans, 0u); // the daemon has not run
+        const std::uint64_t rel =
+            region1.pageNumber() - vma.start().pageNumber();
+        clearTouched(vma, rel, static_cast<unsigned>(huge) - kNeeded);
+        clearTouched(vma, rel + huge,
+                     static_cast<unsigned>(huge) - kNeeded + 1);
+        ASSERT_EQ(vma.touchedIn(rel, huge), kNeeded);
+        ASSERT_EQ(vma.touchedIn(rel + huge, huge), kNeeded - 1);
+
+        k.policy().onTick(k);
+        EXPECT_EQ(ingens->stats().promotions, 1u);
+        EXPECT_EQ(ingens->stats().promotionFailures, 0u);
+        auto m1 = p.pageTable().lookup(region1.pageNumber());
+        ASSERT_TRUE(m1);
+        EXPECT_EQ(m1->order, kHugeOrder);
+        auto m2 = p.pageTable().lookup(region1.pageNumber() + huge);
+        ASSERT_TRUE(m2);
+        EXPECT_EQ(m2->order, 0u);
+    }
+
+    IngensPolicy *ingens;
+    Kernel k;
+    Process &p;
+};
+
+TEST_F(IngensThreshold, KnownAnswerOnAlignedVma)
+{
+    Vma &vma = p.mmap(2 * kHugeSize);
+    ASSERT_EQ(vma.start().pageNumber() % 64, 0u); // whole-word path
+    expectKnownAnswer(vma, vma.start());
+}
+
+TEST_F(IngensThreshold, KnownAnswerOnUnalignedVma)
+{
+    // A VMA 3 pages past a 2 MiB boundary: its full regions start at
+    // VMA offsets 509 and 1021, off the 64-page word grid (bit path).
+    const Gva huge_base{Addr{0x7000} << 32};
+    Vma &vma = p.addressSpace().mmap(3 * kHugeSize, VmaKind::Anon,
+                                     huge_base + 3 * kPageSize);
+    ASSERT_EQ(vma.start().pageNumber() % 512, 3u);
+    // Touch the leading partial region too: its bits share a word
+    // with the first full region's and must not be counted.
+    p.touchRange(vma.start(), 509 * kPageSize);
+    expectKnownAnswer(vma, huge_base + kHugeSize);
+}
+
+TEST(Ingens, RepeatedTouchesCountOnce)
+{
+    Kernel k(smallConfig(), std::make_unique<IngensPolicy>());
+    Process &p = k.createProcess("t");
+    Vma &vma = p.mmap(kHugeSize);
+    for (int i = 0; i < 5; ++i) {
+        p.touch(vma.start() + 7 * kPageSize);
+        p.touch(vma.start() + 64 * kPageSize, Access::Read);
+    }
+    EXPECT_EQ(p.touchedPages(), 2u);
+    EXPECT_EQ(vma.touchedPages, 2u);
+    EXPECT_EQ(vma.touchedIn(0, pagesInOrder(kHugeOrder)), 2u);
+}
+
 TEST(Ranger, CoalescesAsynchronously)
 {
     auto policy = std::make_unique<RangerPolicy>();
