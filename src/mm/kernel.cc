@@ -317,23 +317,14 @@ Kernel::mmapFile(Process &proc, std::uint32_t file_id, std::uint64_t bytes,
 void
 Kernel::unmapVmaPages(Process &proc, Vma &vma)
 {
-    PageTable &pt = proc.pageTable();
     const Vpn start = vma.start().pageNumber();
-    const Vpn end = start + vma.pages();
-
-    // Collect the leaves first: unmapping while iterating would
-    // invalidate the traversal.
-    std::vector<std::pair<Vpn, Mapping>> leaves;
-    pt.forEachLeafIn(start, end, [&](Vpn vpn, const Mapping &m) {
-        leaves.emplace_back(vpn, m);
-    });
-    for (auto &[vpn, m] : leaves) {
-        pt.unmap(vpn, m.order);
-        const std::uint64_t n = pagesInOrder(m.order);
-        for (std::uint64_t i = 0; i < n; ++i)
-            --physMem_.frame(m.pfn + i).mapCount;
-        putFrame(m.pfn, m.order);
-    }
+    proc.pageTable().unmapRange(
+        start, start + vma.pages(), [&](Vpn, const Mapping &m) {
+            const std::uint64_t n = pagesInOrder(m.order);
+            for (std::uint64_t i = 0; i < n; ++i)
+                --physMem_.frame(m.pfn + i).mapCount;
+            putFrame(m.pfn, m.order);
+        });
 }
 
 void

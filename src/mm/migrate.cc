@@ -100,8 +100,10 @@ swapLeaves(Kernel &kernel, Process &proc, Vpn vpn, Pfn dest_pfn)
     for (std::uint64_t i = 0; i < n; ++i) {
         Frame &fa = pm.frame(m->pfn + i);
         Frame &fb = pm.frame(dest_pfn + i);
-        // Atomics are not std::swap-able; migrations run in exclusive
-        // contexts (policy daemons), so relaxed exchanges suffice.
+        // Swap field by field through atomic accesses (a plain
+        // std::swap would race the lockless reclaim scanner);
+        // migrations run in exclusive contexts (policy daemons), so
+        // relaxed exchanges suffice.
         const auto kind = fa.ownerKind.load(std::memory_order_relaxed);
         fa.ownerKind.store(fb.ownerKind.load(std::memory_order_relaxed),
                            std::memory_order_relaxed);

@@ -137,17 +137,24 @@ PageTable::unmap(Vpn vpn, unsigned order)
     contig_assert(slot->leaf.order == order,
                   "unmap order mismatch (have %u want %u)",
                   slot->leaf.order, order);
-    const Mapping old = slot->leaf;
-    slot->present = false;
-    slot->leaf = Mapping{};
+    removeLeaf(*slot, vpn & ~(pagesInOrder(order) - 1));
+}
+
+Mapping
+PageTable::removeLeaf(Slot &slot, Vpn vpn)
+{
+    const Mapping old = slot.leaf;
+    slot.present = false;
+    slot.leaf = Mapping{};
     ++stats_.unmaps;
-    if (order == kHugeOrder)
+    if (old.order == kHugeOrder)
         --stats_.mappedHugePages;
     else
         --stats_.mappedBasePages;
     bumpGeneration();
     if (updateHook_)
-        updateHook_(vpn & ~(pagesInOrder(order) - 1), old, false);
+        updateHook_(vpn, old, false);
+    return old;
 }
 
 std::optional<Mapping>

@@ -150,8 +150,29 @@ class PageTable
     void
     forEachLeafIn(Vpn start, Vpn end, Fn &&fn) const
     {
+        auto leaf = [&fn](Vpn vpn, const Slot &slot) { fn(vpn, slot.leaf); };
+        const Node &root = *root_;
         if (start < end)
-            visitLeaves(*root_, 0, start, end, fn);
+            visitLeaves(root, 0, start, end, leaf);
+    }
+
+    /**
+     * Remove every leaf intersecting [start, end) in one radix descent,
+     * ascending, then call fn(vpn, removed_mapping) for it. Per leaf
+     * this is exactly unmap(vpn, order) — stats, one generation bump
+     * and one update-hook call — without re-descending from the root
+     * for each (VMA teardown). Emptied nodes are kept, as unmap keeps
+     * them.
+     */
+    template <typename Fn>
+    void
+    unmapRange(Vpn start, Vpn end, Fn &&fn)
+    {
+        auto leaf = [this, &fn](Vpn vpn, Slot &slot) {
+            fn(vpn, removeLeaf(slot, vpn));
+        };
+        if (start < end)
+            visitLeaves(*root_, 0, start, end, leaf);
     }
 
     /**
@@ -245,12 +266,15 @@ class PageTable
     static unsigned indexAt(Vpn vpn, unsigned level);
     Node *ensureChild(Node *node, unsigned idx);
     Slot *findLeafSlot(Vpn vpn) const;
+    /** Clear a present leaf slot whose base vpn is `vpn`; returns it. */
+    Mapping removeLeaf(Slot &slot, Vpn vpn);
     void freeNodes(Node *node);
     Pfn allocNodeFrame();
 
-    template <typename Fn>
-    static void visitLeaves(const Node &node, Vpn base, Vpn start,
-                            Vpn end, Fn &fn);
+    /** fn(vpn, slot) for every present leaf slot intersecting the range. */
+    template <typename NodeT, typename Fn>
+    static void visitLeaves(NodeT &node, Vpn base, Vpn start, Vpn end,
+                            Fn &fn);
 
     Vpn findMappedInNode(const Node *node, Vpn base, Vpn start,
                          Vpn end) const;
@@ -265,10 +289,9 @@ class PageTable
     std::atomic<std::uint64_t> generation_{0};
 };
 
-template <typename Fn>
+template <typename NodeT, typename Fn>
 void
-PageTable::visitLeaves(const Node &node, Vpn base, Vpn start, Vpn end,
-                       Fn &fn)
+PageTable::visitLeaves(NodeT &node, Vpn base, Vpn start, Vpn end, Fn &fn)
 {
     const std::uint64_t span = std::uint64_t{1} << (9 * (node.level - 1));
     unsigned i = start > base ? static_cast<unsigned>((start - base) / span)
@@ -277,9 +300,9 @@ PageTable::visitLeaves(const Node &node, Vpn base, Vpn start, Vpn end,
         const Vpn child_base = base + i * span;
         if (child_base >= end)
             return;
-        const Slot &slot = node.slots[i];
+        auto &slot = node.slots[i];
         if (slot.present)
-            fn(child_base, slot.leaf);
+            fn(child_base, slot);
         else if (slot.child)
             visitLeaves(*slot.child, child_base, start, end, fn);
     }

@@ -24,9 +24,6 @@ constexpr std::uint64_t kScoreStride = 8;
 
 } // namespace
 
-thread_local unsigned ReclaimEngine::tlsFillDepth_ = 0;
-thread_local const Vma *ReclaimEngine::tlsHeldVma_ = nullptr;
-
 ReclaimEngine::ReclaimEngine(Kernel &kernel)
     : kernel_(kernel),
       threaded_(kernel.threaded()),
@@ -240,7 +237,7 @@ ReclaimEngine::reclaimRange(Pfn base, unsigned order)
     while (p < end) {
         Frame &f = pm.frame(p);
         prog.cycles += kScanCyclesPerEntry;
-        if (f.freeFlag.load(std::memory_order_relaxed)) {
+        if (!f.inUse.load(std::memory_order_relaxed)) {
             ++p;
             continue;
         }
@@ -285,7 +282,7 @@ ReclaimEngine::contigScore(Pfn head) const
     const Pfn block = head & ~(hp - 1);
     unsigned occupied = 0;
     for (Pfn p = block; p < block + hp; p += kScoreStride) {
-        if (!pm.frame(p).freeFlag.load(std::memory_order_relaxed))
+        if (pm.frame(p).inUse.load(std::memory_order_relaxed))
             ++occupied;
     }
     return occupied;

@@ -294,8 +294,12 @@ class ReclaimEngine
     const SwapCostModel cost_;
     ReclaimStats stats_;
     std::atomic<std::uint64_t> unmapEpoch_{0};
-    static thread_local unsigned tlsFillDepth_;
-    static thread_local const Vma *tlsHeldVma_;
+    // Defined here and constant-initialized so the inline scope
+    // classes above access them directly, without the TLS init
+    // wrapper that an out-of-line definition makes every other
+    // translation unit call.
+    static constinit inline thread_local unsigned tlsFillDepth_ = 0;
+    static constinit inline thread_local const Vma *tlsHeldVma_ = nullptr;
 
     // --- swap state (slot ids model disk blocks) -------------------------
     mutable SpinLock swapLock_;

@@ -54,6 +54,10 @@ class BuddyAllocator
     using TopListHook = std::function<void(Pfn)>;
 
     /**
+     * Seeds every top-order block free. The managed frames must be
+     * pristine (all-zero, as a fresh FrameArray is): the constructor
+     * writes only the top-order block heads.
+     *
      * @param frames Backing mem_map (shared with the rest of the kernel).
      * @param base_pfn First frame managed by this allocator.
      * @param n_frames Number of frames managed.

@@ -231,7 +231,10 @@ CtraceWriter::finish()
         putU32(p + 20, 0);
     }
     const std::uint64_t index_offset = kCtraceHeaderBytes + bytesEncoded_;
-    if (std::fwrite(raw.data(), 1, raw.size(), f_) != raw.size())
+    // An empty trace has an empty index, and fwrite's buffer must not
+    // be null even for zero bytes.
+    if (!raw.empty() &&
+        std::fwrite(raw.data(), 1, raw.size(), f_) != raw.size())
         fatal("short write to trace output '%s'", path_.c_str());
     std::uint8_t crcbuf[4];
     putU32(crcbuf, crc32(raw.data(), raw.size()));

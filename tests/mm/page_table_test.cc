@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "base/serialize.hh"
 #include "mm/page_table.hh"
 
 using namespace contig;
@@ -189,4 +190,63 @@ TEST(PageTable, HighVpnsSupported)
     auto m = pt.lookup(high + 11);
     ASSERT_TRUE(m);
     EXPECT_EQ(m->pfn, 512u);
+}
+
+TEST(PageTable, UnmapRangeMatchesPerLeafUnmap)
+{
+    // Two identical tables: one torn down leaf by leaf (collect, then
+    // unmap each), the other with one unmapRange descent. Callbacks,
+    // hook calls, stats, generation and checkpoint bytes must match.
+    struct Hooked
+    {
+        PageTable pt;
+        std::vector<std::pair<Vpn, Pfn>> hooks;
+        Hooked()
+        {
+            pt.setUpdateHook([this](Vpn v, const Mapping &m, bool present) {
+                if (!present)
+                    hooks.emplace_back(v, m.pfn);
+            });
+            pt.map(100, 1, 0);
+            pt.map(512, 512, kHugeOrder); // [512, 1024), straddles start
+            pt.map(1212, 3, 0);
+            pt.map(1536, 1024, kHugeOrder);
+            pt.map(2100, 4, 0); // at end: kept
+            pt.map(Vpn{1} << 18, 2048, kHugeOrder);
+        }
+    };
+    const Vpn start = 600;
+    const Vpn end = 2100;
+    using Leaves = std::vector<std::pair<Vpn, Pfn>>;
+
+    Hooked a;
+    std::vector<std::pair<Vpn, Mapping>> leaves;
+    a.pt.forEachLeafIn(start, end, [&](Vpn v, const Mapping &m) {
+        leaves.emplace_back(v, m);
+    });
+    Leaves seen_a;
+    for (const auto &[v, m] : leaves) {
+        a.pt.unmap(v, m.order);
+        seen_a.emplace_back(v, m.pfn);
+    }
+
+    Hooked b;
+    Leaves seen_b;
+    b.pt.unmapRange(start, end, [&](Vpn v, const Mapping &m) {
+        seen_b.emplace_back(v, m.pfn);
+    });
+
+    EXPECT_EQ(seen_b, (Leaves{{512, 512}, {1212, 3}, {1536, 1024}}));
+    EXPECT_EQ(seen_b, seen_a);
+    EXPECT_EQ(b.hooks, a.hooks);
+    EXPECT_EQ(b.pt.generation(), a.pt.generation());
+    EXPECT_EQ(b.pt.stats().unmaps, 3u);
+    EXPECT_EQ(b.pt.stats().mappedHugePages, 1u);
+    EXPECT_EQ(b.pt.stats().mappedBasePages, 2u);
+    Serializer sa, sb;
+    a.pt.saveState(sa);
+    b.pt.saveState(sb);
+    EXPECT_EQ(sb.data(), sa.data());
+    EXPECT_TRUE(b.pt.lookup(2100));
+    EXPECT_FALSE(b.pt.lookup(1212));
 }
