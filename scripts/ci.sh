@@ -34,11 +34,12 @@ build_and_test asan-ubsan "" \
 # frame caches, sharded zone locks, per-VMA fault mutexes) must be
 # race-free under the concurrent stress + parallel-driver tests, and
 # the instrumented-lock striped counters (test_base's lock_stats
-# tests) and the mem_map's atomic_ref frame fields (test_phys) must be
-# race-free too.
+# tests), the mem_map's atomic_ref frame fields (test_phys) and the
+# .ctrace decode thread of TraceReplaySource, which CRC-checks every
+# chunk it decodes (test_workloads), must be race-free too.
 # Only the thread-exercising tests run here; the full suite already
 # ran in both configurations above.
-build_and_test tsan 'test_concurrency|test_parallel|test_mm|test_base|test_phys' \
+build_and_test tsan 'test_concurrency|test_parallel|test_mm|test_base|test_phys|test_workloads' \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCONTIG_SANITIZE=thread
 
 # Forced-scalar configuration: -DCONTIG_SIMD=OFF compiles the AVX2

@@ -10,17 +10,40 @@ namespace contig
 namespace
 {
 
-std::array<std::uint32_t, 256>
-makeCrcTable()
+/**
+ * Slice-by-8 CRC tables for the reflected IEEE polynomial: kCrc[0] is
+ * the classic byte table, and kCrc[k][b] is the CRC register after
+ * byte b followed by k zero bytes, so one step folds 8 input bytes
+ * with 8 independent lookups.
+ */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables
+makeCrcTables()
 {
-    std::array<std::uint32_t, 256> t{};
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        t[i] = c;
+        t[0][i] = c;
     }
+    for (std::size_t k = 1; k < 8; ++k)
+        for (std::uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
     return t;
+}
+
+constexpr CrcTables kCrc = makeCrcTables();
+
+/** Little-endian 32-bit load, assembled from bytes on any host. */
+std::uint32_t
+loadLe32(const std::uint8_t *p)
+{
+    return static_cast<std::uint32_t>(p[0]) |
+           static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 } // namespace
@@ -28,11 +51,18 @@ makeCrcTable()
 std::uint32_t
 crc32(const void *data, std::size_t n, std::uint32_t seed)
 {
-    static const std::array<std::uint32_t, 256> table = makeCrcTable();
     const std::uint8_t *p = static_cast<const std::uint8_t *>(data);
     std::uint32_t c = seed ^ 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < n; ++i)
-        c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+    for (; n >= 8; p += 8, n -= 8) {
+        const std::uint32_t lo = c ^ loadLe32(p);
+        const std::uint32_t hi = loadLe32(p + 4);
+        c = kCrc[7][lo & 0xFF] ^ kCrc[6][(lo >> 8) & 0xFF] ^
+            kCrc[5][(lo >> 16) & 0xFF] ^ kCrc[4][lo >> 24] ^
+            kCrc[3][hi & 0xFF] ^ kCrc[2][(hi >> 8) & 0xFF] ^
+            kCrc[1][(hi >> 16) & 0xFF] ^ kCrc[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n)
+        c = kCrc[0][(c ^ *p) & 0xFF] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 

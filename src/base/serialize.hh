@@ -13,9 +13,10 @@
  * truncated snapshot names the section that broke instead of
  * decoding noise.
  *
- * crc32() is the IEEE 802.3 polynomial (table-driven, no external
- * dependencies) used by both the .ctrace chunk index and the
- * checkpoint trailer.
+ * crc32() is the IEEE 802.3 polynomial (slice-by-8 table-driven, no
+ * external dependencies) used by both the .ctrace chunk index and the
+ * checkpoint trailer. The .ctrace decoder checks every chunk with it,
+ * so its speed bounds trace-fed replay.
  */
 
 #ifndef CONTIG_BASE_SERIALIZE_HH

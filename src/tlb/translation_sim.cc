@@ -24,6 +24,24 @@ schemeToken(XlatScheme s)
     return "?";
 }
 
+/**
+ * The last of `n` base-sorted segments whose base is <= vpn, or the
+ * first when vpn lies below every base (its contains() then rejects
+ * vpn): the Reference engine's upper_bound answer. The halving loop
+ * runs a trip count fixed by n and steps by a conditional move, so a
+ * stream that hops between segments costs no mispredicts.
+ */
+const DirectSegment &
+segmentAtOrBelow(const DirectSegment *s, std::size_t n, Vpn vpn)
+{
+    while (n > 1) {
+        const std::size_t half = n / 2;
+        s += s[half].base() <= vpn ? half : 0;
+        n -= half;
+    }
+    return *s;
+}
+
 } // namespace
 
 TranslationSim::TranslationSim(const XlatConfig &cfg, const PageTable &pt)
@@ -315,25 +333,19 @@ TranslationSim::runChunkBatched(const MemAccess *acc, std::size_t n)
     // the shared missPath and writes stats_ directly.
     std::uint64_t l1_hits = 0;
     std::uint64_t l2_hits = 0;
+    std::uint64_t seg_hits = 0;
     obs::XlatAttribution *const at = attrib_.get();
+    const DirectSegment *const segs = segments_.data();
+    const std::size_t nsegs = segments_.size();
     for (std::size_t i = 0; i < n; ++i) {
         const Vpn vpn = vpns[i];
 
         if constexpr (S == XlatScheme::Ds) {
-            if (!segments_.empty()) {
-                auto it = std::upper_bound(
-                    segments_.begin(), segments_.end(), vpn,
-                    [](Vpn v, const DirectSegment &s) {
-                        return v < s.base();
-                    });
-                if (it != segments_.begin() &&
-                    std::prev(it)->contains(vpn)) {
-                    ++stats_.segmentHits;
-                    if (at)
-                        at->record(obs::XlatOutcome::SegmentHit,
-                                   vpn, 0, 0);
-                    continue;
-                }
+            if (nsegs && segmentAtOrBelow(segs, nsegs, vpn).contains(vpn)) {
+                ++seg_hits;
+                if (at)
+                    at->record(obs::XlatOutcome::SegmentHit, vpn, 0, 0);
+                continue;
             }
         }
 
@@ -354,6 +366,7 @@ TranslationSim::runChunkBatched(const MemAccess *acc, std::size_t n)
     stats_.accesses += n;
     stats_.l1Hits += l1_hits;
     stats_.l2Hits += l2_hits;
+    stats_.segmentHits += seg_hits;
 }
 
 void

@@ -3,10 +3,10 @@
  * Chunked access-stream generator. The replay engine does not pull
  * accesses one at a time: AccessStream drains the workload's
  * steady-state generator into fixed-size contiguous MemAccess
- * buffers, so the consumer sees plain arrays. Generation itself is
- * not batched — Workload::fillAccesses is one call per chunk, but no
- * workload overrides it, so its base loop still makes one virtual
- * nextAccess call per access.
+ * buffers, so the consumer sees plain arrays. Each chunk is one
+ * virtual Workload::fillAccesses call, whose loop inlines the
+ * workload's generator (workloads.hh: every workload runs one private
+ * generator from both nextAccess and fillAccesses).
  *
  * Determinism: the stream owns its own Rng seeded at construction and
  * produces exactly the sequence `wl.nextAccess(rng)` would — chunk

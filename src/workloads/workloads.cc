@@ -23,6 +23,20 @@ pc(unsigned idx)
 
 } // namespace
 
+/**
+ * A workload's two stream entry points. Both run the class's one
+ * inline generate(), so a chunk costs one virtual call instead of
+ * one per access, and the generator body exists once.
+ */
+#define CONTIG_WORKLOAD_STREAM(W)                                      \
+    MemAccess W::nextAccess(Rng &rng) { return generate(rng); }       \
+                                                                       \
+    void W::fillAccesses(Rng &rng, MemAccess *out, std::size_t n)     \
+    {                                                                  \
+        for (std::size_t i = 0; i < n; ++i)                            \
+            out[i] = generate(rng);                                    \
+    }
+
 void
 Workload::setup(Process &proc)
 {
@@ -148,8 +162,8 @@ SvmWorkload::touchPattern(Process &proc)
         proc.touchRange(base(i), regions_[i].touchBytes);
 }
 
-MemAccess
-SvmWorkload::nextAccess(Rng &rng)
+inline MemAccess
+SvmWorkload::generate(Rng &rng)
 {
     // Streams dominate the access mix; the random structures are
     // touched through slowly-moving hot pointers, so the new-page
@@ -180,6 +194,8 @@ SvmWorkload::nextAccess(Rng &rng)
     return {pc(3), at(scratchVma_, scratchHot_)};
 }
 
+CONTIG_WORKLOAD_STREAM(SvmWorkload)
+
 // --- pagerank -------------------------------------------------------------
 
 PageRankWorkload::PageRankWorkload(const WorkloadConfig &cfg)
@@ -204,8 +220,8 @@ PageRankWorkload::touchPattern(Process &proc)
     proc.touchRange(base(2), regions_[2].touchBytes);
 }
 
-MemAccess
-PageRankWorkload::nextAccess(Rng &rng)
+inline MemAccess
+PageRankWorkload::generate(Rng &rng)
 {
     const double roll = rng.uniform();
     if (roll < 0.55) {
@@ -223,6 +239,8 @@ PageRankWorkload::nextAccess(Rng &rng)
         dstHot_ = vertexZipf_->sample(rng) * 8;
     return {pc(2), at(2, dstHot_)};
 }
+
+CONTIG_WORKLOAD_STREAM(PageRankWorkload)
 
 // --- hashjoin --------------------------------------------------------------
 
@@ -250,8 +268,8 @@ HashjoinWorkload::touchPattern(Process &proc)
     proc.touchRange(base(1), regions_[1].touchBytes);
 }
 
-MemAccess
-HashjoinWorkload::nextAccess(Rng &rng)
+inline MemAccess
+HashjoinWorkload::generate(Rng &rng)
 {
     if (rng.uniform() < 0.50) {
         // Probe: each new bucket is uniformly random over the table;
@@ -263,6 +281,8 @@ HashjoinWorkload::nextAccess(Rng &rng)
     scanCursor_ += 16;
     return {pc(1), at(1, scanCursor_)};
 }
+
+CONTIG_WORKLOAD_STREAM(HashjoinWorkload)
 
 // --- xsbench ---------------------------------------------------------------
 
@@ -279,8 +299,8 @@ XsbenchWorkload::XsbenchWorkload(const WorkloadConfig &cfg)
     regions_.push_back({concs + scaled(1 * kMiB), concs});
 }
 
-MemAccess
-XsbenchWorkload::nextAccess(Rng &rng)
+inline MemAccess
+XsbenchWorkload::generate(Rng &rng)
 {
     const double roll = rng.uniform();
     if (roll < 0.55) {
@@ -300,6 +320,8 @@ XsbenchWorkload::nextAccess(Rng &rng)
     concCursor_ += 8;
     return {pc(2), at(2, concCursor_)};
 }
+
+CONTIG_WORKLOAD_STREAM(XsbenchWorkload)
 
 // --- bt ---------------------------------------------------------------------
 
@@ -328,8 +350,8 @@ BtWorkload::touchPattern(Process &proc)
     }
 }
 
-MemAccess
-BtWorkload::nextAccess(Rng &rng)
+inline MemAccess
+BtWorkload::generate(Rng &rng)
 {
     // Plane-major stride sweeps across the five solver arrays: the
     // k-dimension sweeps of BT stride by whole planes, so the TLB
@@ -351,6 +373,8 @@ BtWorkload::nextAccess(Rng &rng)
             at(sweepArray_, sweepCursor_ + burst_ * 8)};
 }
 
+CONTIG_WORKLOAD_STREAM(BtWorkload)
+
 // --- tlbfriendly -------------------------------------------------------------
 
 TlbFriendlyWorkload::TlbFriendlyWorkload(const WorkloadConfig &cfg)
@@ -359,13 +383,17 @@ TlbFriendlyWorkload::TlbFriendlyWorkload(const WorkloadConfig &cfg)
     regions_.push_back({scaled(16 * kMiB), scaled(16 * kMiB)});
 }
 
-MemAccess
-TlbFriendlyWorkload::nextAccess(Rng &rng)
+inline MemAccess
+TlbFriendlyWorkload::generate(Rng &rng)
 {
     (void)rng;
     cursor_ += 8;
     return {pc(0), at(0, cursor_)};
 }
+
+CONTIG_WORKLOAD_STREAM(TlbFriendlyWorkload)
+
+#undef CONTIG_WORKLOAD_STREAM
 
 // --- factory / hog -----------------------------------------------------------
 

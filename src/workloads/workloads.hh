@@ -75,14 +75,14 @@ class Workload
     virtual MemAccess nextAccess(Rng &rng) = 0;
 
     /**
-     * Fill a chunk of steady-state accesses. Semantically exactly
-     * `for (i < n) out[i] = nextAccess(rng)` — the base implementation
-     * is that loop. The call into fillAccesses is one virtual call
-     * per chunk, but no workload overrides it, so each access is
-     * still one virtual nextAccess call. An override that inlines its
-     * generator would remove that; it must produce the identical
-     * sequence (tests/workloads compare against nextAccess
-     * element-wise).
+     * Fill a chunk of steady-state accesses: exactly
+     * `for (i < n) out[i] = nextAccess(rng)`, in one virtual call.
+     * The base implementation is that loop, one virtual nextAccess
+     * per access. Every workload in this file overrides both entry
+     * points with calls to one private inline generator, so its chunk
+     * loop inlines the generator and the body exists once;
+     * tests/workloads pins both entry points to the same stream
+     * digest.
      */
     virtual void fillAccesses(Rng &rng, MemAccess *out, std::size_t n);
 
@@ -159,11 +159,14 @@ class SvmWorkload : public Workload
     explicit SvmWorkload(const WorkloadConfig &cfg = {});
     std::string name() const override { return "svm"; }
     MemAccess nextAccess(Rng &rng) override;
+    void fillAccesses(Rng &rng, MemAccess *out, std::size_t n) override;
 
   protected:
     void touchPattern(Process &proc) override;
 
   private:
+    MemAccess generate(Rng &rng);
+
     std::unique_ptr<ZipfSampler> weightZipf_;
     std::uint64_t valuesCursor_ = 0;
     std::uint64_t colidxCursor_ = 0;
@@ -180,11 +183,14 @@ class PageRankWorkload : public Workload
     explicit PageRankWorkload(const WorkloadConfig &cfg = {});
     std::string name() const override { return "pagerank"; }
     MemAccess nextAccess(Rng &rng) override;
+    void fillAccesses(Rng &rng, MemAccess *out, std::size_t n) override;
 
   protected:
     void touchPattern(Process &proc) override;
 
   private:
+    MemAccess generate(Rng &rng);
+
     std::unique_ptr<ZipfSampler> vertexZipf_;
     std::uint64_t edgeCursor_ = 0;
     std::uint64_t srcHot_ = 0;
@@ -198,11 +204,14 @@ class HashjoinWorkload : public Workload
     explicit HashjoinWorkload(const WorkloadConfig &cfg = {});
     std::string name() const override { return "hashjoin"; }
     MemAccess nextAccess(Rng &rng) override;
+    void fillAccesses(Rng &rng, MemAccess *out, std::size_t n) override;
 
   protected:
     void touchPattern(Process &proc) override;
 
   private:
+    MemAccess generate(Rng &rng);
+
     std::uint64_t scanCursor_ = 0;
     std::uint64_t probeHot_ = 0;
 };
@@ -214,8 +223,11 @@ class XsbenchWorkload : public Workload
     explicit XsbenchWorkload(const WorkloadConfig &cfg = {});
     std::string name() const override { return "xsbench"; }
     MemAccess nextAccess(Rng &rng) override;
+    void fillAccesses(Rng &rng, MemAccess *out, std::size_t n) override;
 
   private:
+    MemAccess generate(Rng &rng);
+
     std::uint64_t concCursor_ = 0;
     std::uint64_t nuclideHot_ = 0;
     std::uint64_t energyHot_ = 0;
@@ -228,11 +240,14 @@ class BtWorkload : public Workload
     explicit BtWorkload(const WorkloadConfig &cfg = {});
     std::string name() const override { return "bt"; }
     MemAccess nextAccess(Rng &rng) override;
+    void fillAccesses(Rng &rng, MemAccess *out, std::size_t n) override;
 
   protected:
     void touchPattern(Process &proc) override;
 
   private:
+    MemAccess generate(Rng &rng);
+
     std::uint64_t sweepCursor_ = 0;
     std::size_t sweepArray_ = 0;
     unsigned burst_ = 0;
@@ -245,8 +260,11 @@ class TlbFriendlyWorkload : public Workload
     explicit TlbFriendlyWorkload(const WorkloadConfig &cfg = {});
     std::string name() const override { return "tlbfriendly"; }
     MemAccess nextAccess(Rng &rng) override;
+    void fillAccesses(Rng &rng, MemAccess *out, std::size_t n) override;
 
   private:
+    MemAccess generate(Rng &rng);
+
     std::uint64_t cursor_ = 0;
 };
 

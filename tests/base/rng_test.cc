@@ -15,6 +15,54 @@ TEST(Rng, Deterministic)
         EXPECT_EQ(a.next(), b.next());
 }
 
+// Known answers pinned from the out-of-line implementation: inlining
+// the samplers must not move a single value of any stream.
+TEST(Rng, KnownAnswerNext)
+{
+    static constexpr std::uint64_t kExpected[16] = {
+        0x15780b2e0c2ec716ull, 0x6104d9866d113a7eull, 0xae17533239e499a1ull,
+        0xecb8ad4703b360a1ull, 0xfde6dc7fe2ec5e64ull, 0xc50da53101795238ull,
+        0xb82154855a65ddb2ull, 0xd99a2743ebe60087ull, 0xc2e96e726e97647eull,
+        0x9556615f775fbc3dull, 0xaeb53b340c103971ull, 0x4a69db9873af8965ull,
+        0xcd0feda93006c6b6ull, 0x52480865a4b42742ull, 0xb60dec3bf2d887cdull,
+        0xe0b55a68b96677faull};
+    Rng rng(42);
+    for (std::uint64_t want : kExpected)
+        EXPECT_EQ(rng.next(), want);
+}
+
+TEST(Rng, KnownAnswerUniform)
+{
+    static constexpr double kExpected[8] = {
+        0x1.5780b2e0c2ecp-4,  0x1.84136619b444ep-2, 0x1.5c2ea66473c93p-1,
+        0x1.d9715a8e0766cp-1, 0x1.fbcdb8ffc5d8bp-1, 0x1.8a1b4a6202f2ap-1,
+        0x1.7042a90ab4cbbp-1, 0x1.b3344e87d7ccp-1};
+    Rng rng(42);
+    for (double want : kExpected)
+        EXPECT_EQ(rng.uniform(), want);
+}
+
+TEST(Rng, KnownAnswerBelowAndBetween)
+{
+    static constexpr std::uint64_t kBelow[16] = {
+        83, 378, 680, 924, 991, 769, 719, 850,
+        761, 583, 682, 290, 801, 321, 711, 877};
+    static constexpr std::uint64_t kBetween[16] = {
+        3, 5, 7, 9, 9, 8, 8, 8, 8, 7, 7, 5, 8, 5, 7, 9};
+    Rng below(42), between(42);
+    for (int i = 0; i < 16; ++i) {
+        EXPECT_EQ(below.below(1000), kBelow[i]) << "draw " << i;
+        EXPECT_EQ(between.between(3, 9), kBetween[i]) << "draw " << i;
+    }
+}
+
+TEST(Rng, EmptyRangesAreRejected)
+{
+    Rng rng(42);
+    EXPECT_DEATH((void)rng.below(0), "bound must be positive");
+    EXPECT_DEATH((void)rng.between(9, 3), "empty range");
+}
+
 TEST(Rng, DifferentSeedsDiffer)
 {
     Rng a(1), b(2);

@@ -133,6 +133,87 @@ TEST_F(SimTest, DsMergesAdjacentSegments)
     EXPECT_EQ(sim.stats().segmentHits, 3u);
 }
 
+TEST_F(SimTest, DsEdgeCasesAgreeAcrossEngines)
+{
+    // Hand-built segment layouts around the lookup's boundaries: the
+    // Batched engine's segment search must reproduce the Reference
+    // engine's upper_bound on every access, and both must match a
+    // linear scan of the segment list.
+    const Vpn v0 = vma->start().pageNumber();
+    const std::uint64_t pages = vma->pages();
+    auto check = [&](const char *what, const std::vector<Seg> &segs,
+                     const std::vector<Vpn> &vpns) {
+        SCOPED_TRACE(what);
+        std::vector<MemAccess> acc;
+        std::uint64_t want_hits = 0;
+        for (Vpn v : vpns) {
+            acc.push_back({0x400000, Gva{v << kPageShift}});
+            for (const Seg &s : segs)
+                want_hits += v >= s.vpn && v < s.vpn + s.pages;
+        }
+        XlatConfig ref_cfg = config(XlatScheme::Ds);
+        XlatConfig bat_cfg = config(XlatScheme::Ds);
+        ref_cfg.engine = XlatEngine::Reference;
+        bat_cfg.engine = XlatEngine::Batched;
+        TranslationSim ref(ref_cfg, proc.pageTable());
+        TranslationSim bat(bat_cfg, proc.pageTable());
+        ref.setSegments(segs);
+        bat.setSegments(segs);
+        ref.accessChunk(acc.data(), acc.size());
+        bat.accessChunk(acc.data(), acc.size());
+        const XlatStats &r = ref.stats();
+        const XlatStats &b = bat.stats();
+        EXPECT_EQ(r.segmentHits, want_hits);
+        EXPECT_EQ(b.segmentHits, want_hits);
+        EXPECT_EQ(b.accesses, r.accesses);
+        EXPECT_EQ(b.l1Hits, r.l1Hits);
+        EXPECT_EQ(b.l2Hits, r.l2Hits);
+        EXPECT_EQ(b.walks, r.walks);
+        EXPECT_EQ(b.walkRefs, r.walkRefs);
+        EXPECT_EQ(b.walkCycles, r.walkCycles);
+        EXPECT_EQ(b.exposedCycles, r.exposedCycles);
+        EXPECT_EQ(b.rangeHits, r.rangeHits);
+        EXPECT_EQ(r.accesses, vpns.size());
+        EXPECT_EQ(r.segmentHits + r.l1Hits + r.l2Hits + r.walks,
+                  r.accesses);
+    };
+
+    // One segment; probes below it, on its first and last page, one
+    // page past its end and far above it.
+    check("single", {Seg{v0 + 512, 0, 512}},
+          {v0, v0 + 511, v0 + 512, v0 + 1023, v0 + 1024, v0 + 5000,
+           v0 + 512});
+    // Two segments with a gap: both edges of each, and the gap.
+    check("gap", {Seg{v0 + 100, 0, 50}, Seg{v0 + 300, 0, 50}},
+          {v0 + 99, v0 + 100, v0 + 149, v0 + 150, v0 + 200, v0 + 299,
+           v0 + 300, v0 + 349, v0 + 350, v0});
+    // A one-page segment at the very start of the mapping.
+    check("first page", {Seg{v0, 0, 1}}, {v0, v0 + 1, v0});
+
+    // Many segments (given unsorted; setSegments sorts them) with
+    // gaps of at least one page so none merge, probed at random and
+    // at every boundary.
+    Rng rng(41);
+    std::vector<Seg> segs;
+    for (Vpn at = v0 + 1 + rng.below(8); segs.size() < 300;) {
+        const std::uint64_t len = 1 + rng.below(40);
+        if (at + len >= v0 + pages)
+            break;
+        segs.push_back(Seg{at, 0, len});
+        at += len + 1 + rng.below(60);
+    }
+    ASSERT_GT(segs.size(), 100u);
+    std::vector<Vpn> vpns;
+    for (const Seg &s : segs)
+        for (Vpn v : {s.vpn - 1, s.vpn, s.vpn + s.pages - 1,
+                      s.vpn + s.pages})
+            vpns.push_back(v);
+    for (int i = 0; i < 5000; ++i)
+        vpns.push_back(v0 + rng.below(pages));
+    rng.shuffle(segs);
+    check("many", segs, vpns);
+}
+
 TEST_F(SimTest, AccessCountsAreConsistent)
 {
     TranslationSim sim(config(XlatScheme::Base), proc.pageTable());

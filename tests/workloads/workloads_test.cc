@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string_view>
 
 #include "core/experiment.hh"
 #include "workloads/access_stream.hh"
@@ -105,49 +106,102 @@ INSTANTIATE_TEST_SUITE_P(
         return info.param;
     });
 
-TEST(AccessStream, ChunksMatchTheUnchunkedSequence)
+/** One pinned stream: a workload at a scale and its access digest. */
+struct StreamCase
 {
-    // Chunk boundaries must never change what is generated: the
-    // stream is element-wise identical to a plain nextAccess loop,
-    // including the short final chunk (1000 % 64 = 40).
+    const char *workload;
+    double scale;
+    /** FNV-1a over (pc, offset from the first VMA) of the stream. */
+    std::uint64_t digest;
+};
+
+class AccessStreamTest : public ::testing::TestWithParam<StreamCase>
+{
+  protected:
+    static constexpr std::uint64_t kTotal = 200000;
+    /** Does not divide kTotal: the final chunk is short. */
+    static constexpr std::uint64_t kChunk = 4093;
+
+    static std::uint64_t
+    mix(std::uint64_t h, std::uint64_t v)
+    {
+        return (h ^ v) * 0x100000001b3ull;
+    }
+};
+
+TEST_P(AccessStreamTest, ChunksMatchTheUnchunkedSequence)
+{
+    // The digests were pinned from the one-virtual-call-per-access
+    // generators; nextAccess and the chunked fillAccesses path must
+    // both still produce exactly that stream, whatever the chunk size.
+    const StreamCase &c = GetParam();
     NativeSystem sys(PolicyKind::Thp, 3);
-    auto w1 = makeWorkload("pagerank", quick(42));
-    auto w2 = makeWorkload("pagerank", quick(42));
+    WorkloadConfig cfg;
+    cfg.scale = c.scale;
+    cfg.seed = 42;
+    auto w1 = makeWorkload(c.workload, cfg);
+    auto w2 = makeWorkload(c.workload, cfg);
     Process &p1 = sys.kernel().createProcess("a");
     Process &p2 = sys.kernel().createProcess("b");
     w1->setup(p1);
     w2->setup(p2);
+    const std::uint64_t base1 = w1->vmas()[0]->start().value;
+    const std::uint64_t base2 = w2->vmas()[0]->start().value;
 
-    constexpr std::uint64_t kTotal = 1000, kChunk = 64;
     Rng ref(9);
+    std::uint64_t loop_digest = 0xcbf29ce484222325ull;
+    for (std::uint64_t i = 0; i < kTotal; ++i) {
+        const MemAccess a = w1->nextAccess(ref);
+        loop_digest = mix(mix(loop_digest, a.pc), a.va.value - base1);
+    }
+
     AccessStream stream(*w2, kTotal, 9, kChunk);
     EXPECT_EQ(stream.chunkAccesses(), kChunk);
-
-    std::uint64_t i = 0, chunks = 0;
+    std::uint64_t chunk_digest = 0xcbf29ce484222325ull;
+    std::uint64_t i = 0, chunks = 0, wraps = 0, last_off = 0;
     const MemAccess *chunk = nullptr;
     while (std::size_t n = stream.next(chunk)) {
         ++chunks;
         EXPECT_TRUE(n == kChunk || stream.done()) << "short mid-chunk";
         for (std::size_t j = 0; j < n; ++j, ++i) {
-            const MemAccess a = w1->nextAccess(ref);
-            EXPECT_EQ(a.pc, chunk[j].pc) << "access " << i;
-            EXPECT_EQ(a.va.value - w1->vmas()[0]->start().value,
-                      chunk[j].va.value - w2->vmas()[0]->start().value)
-                << "access " << i;
-            if (::testing::Test::HasFailure())
-                break;
+            const std::uint64_t off = chunk[j].va.value - base2;
+            chunk_digest = mix(mix(chunk_digest, chunk[j].pc), off);
+            wraps += off < last_off;
+            last_off = off;
         }
-        if (::testing::Test::HasFailure())
-            break;
     }
+    EXPECT_EQ(loop_digest, c.digest) << "nextAccess stream moved";
+    EXPECT_EQ(chunk_digest, c.digest) << "fillAccesses stream moved";
     EXPECT_EQ(i, kTotal);
     EXPECT_EQ(chunks, (kTotal + kChunk - 1) / kChunk);
     EXPECT_EQ(stream.produced(), kTotal);
     EXPECT_TRUE(stream.done());
     EXPECT_EQ(stream.next(chunk), 0u);
+    if (std::string_view(c.workload) == "tlbfriendly") {
+        // A single streaming cursor: every backwards step is the
+        // cursor wrapping its region. At 0.01 scale the 160 KiB
+        // region wraps about ten times in the stream.
+        const std::uint64_t region = w2->footprintBytes();
+        EXPECT_EQ(wraps, kTotal * 8 / region);
+    }
     w1->teardown();
     w2->teardown();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, AccessStreamTest,
+    ::testing::Values(
+        StreamCase{"svm", 0.1, 0x852d59add8ffce11ull},
+        StreamCase{"pagerank", 0.1, 0xda364cfbc46f60a5ull},
+        StreamCase{"hashjoin", 0.1, 0x80f5b0f77464a6cdull},
+        StreamCase{"xsbench", 0.1, 0xdae0be0b579f6905ull},
+        StreamCase{"bt", 0.1, 0xcf9d0505af68bc0dull},
+        StreamCase{"tlbfriendly", 0.1, 0x8e8fdb00be106525ull},
+        StreamCase{"tlbfriendly", 0.01, 0x42ed1ff1d9d7e525ull}),
+    [](const ::testing::TestParamInfo<StreamCase> &info) {
+        return std::string(info.param.workload) +
+               (info.param.scale < 0.05 ? "_wrapping" : "");
+    });
 
 TEST(Workloads, FactoryRejectsUnknown)
 {
