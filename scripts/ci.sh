@@ -70,6 +70,7 @@ python3 "$root/scripts/obs_overhead_gate.py" --check \
 "$bench/micro_fault_scaling" --json "$root/BENCH_micro_fault_scaling.json"
 "$bench/micro_xlat_scaling" --json "$root/BENCH_micro_xlat_scaling.json"
 "$bench/micro_reclaim_path" --json "$root/BENCH_micro_reclaim_path.json"
+"$bench/micro_synth" --json "$root/BENCH_micro_synth.json"
 python3 "$root/scripts/check_bench_json.py" "$bench/micro_alloc_path"
 python3 "$root/scripts/check_bench_json.py" "$bench/micro_fault_scaling"
 python3 "$root/scripts/check_bench_json.py" "$bench/micro_xlat_scaling"
@@ -233,5 +234,11 @@ python3 "$root/scripts/check_bench_json.py" \
 "$out/release/tools/contig_inspect" check-baseline \
     "$root/BENCH_micro_reclaim_path.json" \
     "$root/bench/baselines/BENCH_micro_reclaim_path.json"
+# Synthesis gate: each workload's stream digest is pinned, so a speed
+# change to a generator cannot move a simulated access; the ns/access
+# column is *.wall_us and therefore ignored.
+"$out/release/tools/contig_inspect" check-baseline \
+    "$root/BENCH_micro_synth.json" \
+    "$root/bench/baselines/BENCH_micro_synth.json"
 
 echo "CI: all configurations green"

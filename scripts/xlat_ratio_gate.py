@@ -14,7 +14,12 @@ not: both replay identical work back to back on the same core, so
     speedup = replay.wall_us(engine_ref) / replay.wall_us(default)
 
 prices exactly the SoA layout + batched pipeline + SIMD probes. The
-gate fails when the speedup falls under --min-ratio.
+bench runs the two cells as `xlat.ratio_reps` interleaved pairs and
+notes the median of the pairs' ratios as
+`xlat.speedup_vs_ref.wall_us`; the gate reads that median and fails
+when it falls under --min-ratio. (A single pair of 20-45 ms cells
+read 1.11-1.66x over nine runs on one host.) A document without the
+reps note is a single pair, whose note is that pair's ratio.
 
 Two call sites in scripts/ci.sh:
   - the committed baseline (bench/baselines/...) is gated at the
@@ -77,11 +82,17 @@ def main():
     ref_us = float(ref["replay.wall_us"])
     if base_us <= 0 or ref_us <= 0:
         fail("non-positive replay.wall_us")
-    speedup = ref_us / base_us
+    config = doc.get("config", {})
+    if "xlat.speedup_vs_ref.wall_us" not in config:
+        fail("no xlat.speedup_vs_ref.wall_us note")
+    speedup = float(config["xlat.speedup_vs_ref.wall_us"])
+    reps = int(config.get("xlat.ratio_reps", 1))
     scalar_speedup = float(scalar["replay.wall_us"]) / base_us
     print(f"xlat_ratio_gate: batched+simd vs reference: "
-          f"{speedup:.2f}x (simd share vs forced-scalar: "
-          f"{scalar_speedup:.2f}x of that) [floor {min_ratio:.2f}x]")
+          f"{speedup:.2f}x, median of {reps} interleaved pair(s) "
+          f"(ratio of median cells {ref_us / base_us:.2f}x; simd "
+          f"share vs forced-scalar: {scalar_speedup:.2f}x of that) "
+          f"[floor {min_ratio:.2f}x]")
     if speedup < min_ratio:
         fail(f"speedup {speedup:.2f}x under the {min_ratio:.2f}x floor")
     print("xlat_ratio_gate: OK")

@@ -72,15 +72,60 @@ class Rng
         return lo + below(hi - lo + 1);
     }
 
+    /** The top 53 bits of next(): uniform() is bits53() * 2^-53. */
+    std::uint64_t bits53() { return next() >> 11; }
+
     /** Uniform double in [0, 1). */
     double
     uniform()
     {
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+        return static_cast<double>(bits53()) * 0x1.0p-53;
     }
 
     /** True with the given probability. */
     bool chance(double p) { return uniform() < p; }
+
+    /**
+     * The integer threshold of probability p: the smallest integer
+     * >= p * 2^53, clamped to [0, 2^53]. `bits53() < cut(p)` holds
+     * exactly when `uniform() < p` would, for the same draw: both
+     * sides scale by a power of two, so nothing rounds. A generator
+     * picks an access kind by comparing one bits53() roll against
+     * compile-time cuts instead of branching on a double.
+     */
+    static constexpr std::uint64_t
+    cut(double p)
+    {
+        const double x = p * 0x1.0p53;
+        if (!(x > 0.0)) // p <= 0 or NaN: never
+            return 0;
+        if (x >= 0x1.0p53) // p >= 1: always
+            return 1ull << 53;
+        const auto floor = static_cast<std::uint64_t>(x);
+        return floor + (static_cast<double>(floor) < x);
+    }
+
+    /**
+     * `cond && chance(p)`, equal in result and in the state it leaves,
+     * without a branch on cond: next()'s step with every state-word
+     * update masked by `0 - cond`, so a false cond leaves the state as
+     * it was. A generator whose chance draw only happens for some
+     * access kinds keeps its per-access path branch-free this way.
+     */
+    bool
+    chanceIf(bool cond, double p)
+    {
+        const bool hit = (rotl(s_[1] * 5, 7) * 9 >> 11) < cut(p);
+        const std::uint64_t keep = 0 - static_cast<std::uint64_t>(cond);
+        const std::uint64_t t = (s_[1] << 17) & keep;
+        s_[2] ^= s_[0] & keep;
+        s_[3] ^= s_[1] & keep;
+        s_[1] ^= s_[2] & keep;
+        s_[0] ^= s_[3] & keep;
+        s_[2] ^= t;
+        s_[3] ^= (rotl(s_[3], 45) ^ s_[3]) & keep;
+        return cond & hit;
+    }
 
     /**
      * Raw xoshiro256** state, for checkpoint/restore. setState with a

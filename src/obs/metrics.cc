@@ -267,5 +267,20 @@ MetricRegistry::resetOwned()
     ownedHists_.clear();
 }
 
+void
+MetricRegistry::restoreOwned(const OwnedState &saved)
+{
+    for (auto &[name, sample] : owned_) {
+        const auto it = saved.samples.find(name);
+        const MetricType type = sample.type;
+        sample = it != saved.samples.end() ? it->second : MetricSample{};
+        sample.type = type;
+    }
+    for (auto &[name, hist] : ownedHists_) {
+        const auto it = saved.hists.find(name);
+        hist = it != saved.hists.end() ? it->second : Log2Histogram{};
+    }
+}
+
 } // namespace obs
 } // namespace contig

@@ -153,6 +153,24 @@ class MetricRegistry
     /** Drop all owned metrics (live sources are untouched). */
     void resetOwned();
 
+    /** The owned metrics by value: what restoreOwned() returns to. */
+    struct OwnedState
+    {
+        SampleMap samples;
+        std::map<std::string, Log2Histogram, std::less<>> hists;
+    };
+    OwnedState saveOwned() const { return {owned_, ownedHists_}; }
+
+    /**
+     * Put the owned metrics back to `saved`, in place: references
+     * from counter()/gauge()/summary()/histogram() stay valid, and an
+     * owned metric created since `saved` is zeroed rather than erased.
+     * A bench that repeats a timed cell for a median wraps the extra
+     * repetitions in save/restore, so its metrics read as if the cell
+     * ran once.
+     */
+    void restoreOwned(const OwnedState &saved);
+
   private:
     void collectInto(MetricSink &sink) const;
     void absorbSample(const std::string &name, const MetricSample &s);

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
 
@@ -105,6 +106,66 @@ getU64(const std::uint8_t *p)
     return v;
 }
 
+/**
+ * Little-endian 64-bit load from any alignment, on any host: one
+ * load, where getU64's byte loop stays eight on the decode's critical
+ * path.
+ */
+std::uint64_t
+loadLe64(const std::uint8_t *p)
+{
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    if constexpr (std::endian::native == std::endian::big)
+        v = __builtin_bswap64(v);
+    return v;
+}
+
+/**
+ * The 7-bit groups of a little-endian varint's bytes (top bits and
+ * bytes past its end already cleared), packed by three shift-and-merge
+ * steps: pairs of bytes, then pairs of 14-bit groups, then of 28-bit
+ * groups.
+ */
+std::uint64_t
+packVarintBytes(std::uint64_t w)
+{
+    w = ((w & 0x7f007f007f007f00ull) >> 1) | (w & 0x007f007f007f007full);
+    w = ((w & 0x3fff00003fff0000ull) >> 2) | (w & 0x00003fff00003fffull);
+    return ((w & 0x0fffffff00000000ull) >> 4) | (w & 0x000000000fffffffull);
+}
+
+/**
+ * Both varints of an access from one 8-byte word at `p + off`, when
+ * both end inside it (the common case: fig13 streams take 4-5 bytes
+ * per access). A varint ends at the first byte with a clear top bit,
+ * so the two lowest "stop" bits give both lengths at once and the
+ * offset advances once per access. Returns false and consumes nothing
+ * otherwise; the byte loop then decodes or rejects the pair.
+ */
+bool
+getVarintPair(const std::uint8_t *p, std::size_t &off, std::uint64_t &a,
+              std::uint64_t &b)
+{
+    const std::uint64_t w = loadLe64(p + off);
+    const std::uint64_t stops = ~w & 0x8080808080808080ull;
+    const std::uint64_t second = stops & (stops - 1);
+    if (second == 0)
+        return false;
+    const int first_end = std::countr_zero(stops) + 1;
+    a = packVarintBytes(w & (stops ^ (stops - 1)));
+    b = packVarintBytes((w & (second ^ (second - 1))) >> first_end);
+    off += static_cast<std::size_t>(std::countr_zero(second) + 1) >> 3;
+    return true;
+}
+
+/**
+ * Bytes that must remain for an access to take the word path: room
+ * for two varints of the longest valid length (10 bytes), so the
+ * 8-byte load stays inside the chunk.
+ */
+constexpr std::size_t kWordPathBytes = 20;
+
 } // namespace
 
 std::uint64_t
@@ -157,9 +218,14 @@ ctraceDecodeChunk(const std::uint8_t *enc, std::size_t enc_bytes,
     std::uint64_t prev_pc = 0;
     std::uint64_t prev_va = 0;
     for (std::size_t i = 0; i < count; ++i) {
+        // One bounds check per access while the word path is in
+        // reach; the byte loop takes the chunk's tail and any pair
+        // longer than 8 bytes, with the same accept/reject decisions.
         std::uint64_t dpc, dva;
-        if (!getVarint(enc, enc_bytes, off, dpc) ||
-            !getVarint(enc, enc_bytes, off, dva))
+        if (!(enc_bytes - off >= kWordPathBytes &&
+              getVarintPair(enc, off, dpc, dva)) &&
+            (!getVarint(enc, enc_bytes, off, dpc) ||
+             !getVarint(enc, enc_bytes, off, dva)))
             return false;
         prev_pc += static_cast<std::uint64_t>(unzigzag(dpc));
         prev_va += static_cast<std::uint64_t>(unzigzag(dva));

@@ -21,20 +21,39 @@ pc(unsigned idx)
     return 0x400000 + idx * 0x40;
 }
 
+/** All ones when `b`, else zero: the mask of a branch-free select. */
+constexpr std::uint64_t
+mask(bool b)
+{
+    return 0 - static_cast<std::uint64_t>(b);
+}
+
+/**
+ * Advance a stream cursor by `step` when `on`, wrapping at `end`
+ * (step < end, cursor < end): the cursor stays an in-region offset,
+ * equal to the unbounded cursor modulo `end`, with no division.
+ */
+inline void
+advance(std::uint64_t &cursor, std::uint64_t step, bool on,
+        std::uint64_t end)
+{
+    cursor += step & mask(on);
+    cursor -= end & mask(cursor >= end);
+}
+
 } // namespace
 
 /**
- * A workload's two stream entry points. Both run the class's one
- * inline generate(), so a chunk costs one virtual call instead of
- * one per access, and the generator body exists once.
+ * A workload's one-access entry point: a fill of one, so the
+ * generator body (the class's fillAccesses) exists once and a chunk
+ * costs one virtual call.
  */
-#define CONTIG_WORKLOAD_STREAM(W)                                      \
-    MemAccess W::nextAccess(Rng &rng) { return generate(rng); }       \
-                                                                       \
-    void W::fillAccesses(Rng &rng, MemAccess *out, std::size_t n)     \
+#define CONTIG_WORKLOAD_NEXT(W)                                        \
+    MemAccess W::nextAccess(Rng &rng)                                  \
     {                                                                  \
-        for (std::size_t i = 0; i < n; ++i)                            \
-            out[i] = generate(rng);                                    \
+        MemAccess a;                                                   \
+        W::fillAccesses(rng, &a, 1);                                   \
+        return a;                                                      \
     }
 
 void
@@ -162,39 +181,59 @@ SvmWorkload::touchPattern(Process &proc)
         proc.touchRange(base(i), regions_[i].touchBytes);
 }
 
-inline MemAccess
-SvmWorkload::generate(Rng &rng)
+void
+SvmWorkload::fillAccesses(Rng &rng_io, MemAccess *out, std::size_t n)
 {
     // Streams dominate the access mix; the random structures are
     // touched through slowly-moving hot pointers, so the new-page
     // rate lands in the paper's ~1 %-of-accesses DTLB-miss regime.
-    const double roll = rng.uniform();
-    if (roll < 0.48) {
-        valuesCursor_ += 8;
-        return {pc(0), at(0, valuesCursor_)};
+    // Kinds, by roll: 0 CSR values (48 %), 1 column indices (22 %),
+    // 2 model-vector lookups (26 %: a hot feature is reused for a
+    // while, then the pointer jumps to another, Zipf-skewed one),
+    // 3 irregular (4 %: one instruction hopping across the small
+    // scattered VMAs — the residual misses outside the 32 largest
+    // mappings, §VI-B). DESIGN.md "Access synthesis" has the rules.
+    constexpr std::uint64_t kColidx = Rng::cut(0.48);
+    constexpr std::uint64_t kWeights = Rng::cut(0.70);
+    constexpr std::uint64_t kScratch = Rng::cut(0.96);
+    const std::uint64_t values_end = regions_[0].touchBytes;
+    const std::uint64_t colidx_end = regions_[1].touchBytes;
+    Rng rng = rng_io;
+    Addr base_of[4] = {base(0).value, base(1).value, base(2).value,
+                       base(scratchVma_).value};
+    std::uint64_t off[4] = {valuesCursor_, colidxCursor_, weightHot_,
+                            scratchHot_};
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t roll = rng.bits53();
+        const unsigned kind = (roll >= kColidx) + (roll >= kWeights) +
+                              (roll >= kScratch);
+        const bool jump = rng.chanceIf(roll >= kWeights,
+                                       roll >= kScratch ? 0.09 : 0.055);
+        advance(off[0], 8, kind == 0, values_end);
+        advance(off[1], 4, kind == 1, colidx_end);
+        if (jump) [[unlikely]] {
+            Rng cold = rng;
+            if (kind == 2) {
+                off[2] = weightZipf_->sample(cold) * 64;
+            } else {
+                scratchVma_ = scratchFirst_ +
+                              cold.below(regions_.size() - scratchFirst_);
+                base_of[3] = base(scratchVma_).value;
+                off[3] =
+                    cold.below(regions_[scratchVma_].touchBytes) & ~7ull;
+            }
+            rng = cold;
+        }
+        out[i] = {pc(kind), Gva{base_of[kind] + off[kind]}};
     }
-    if (roll < 0.70) {
-        colidxCursor_ += 4;
-        return {pc(1), at(1, colidxCursor_)};
-    }
-    if (roll < 0.96) {
-        // Model-vector lookups: a hot feature is reused for a while,
-        // then the pointer jumps to another (Zipf-skewed) feature.
-        if (rng.chance(0.055))
-            weightHot_ = weightZipf_->sample(rng) * 64;
-        return {pc(2), at(2, weightHot_)};
-    }
-    // Irregular: one instruction hopping across small scattered VMAs
-    // (the residual misses outside the 32 largest mappings, §VI-B).
-    if (rng.chance(0.09)) {
-        scratchVma_ =
-            scratchFirst_ + rng.below(regions_.size() - scratchFirst_);
-        scratchHot_ = rng.below(regions_[scratchVma_].touchBytes) & ~7ull;
-    }
-    return {pc(3), at(scratchVma_, scratchHot_)};
+    rng_io = rng;
+    valuesCursor_ = off[0];
+    colidxCursor_ = off[1];
+    weightHot_ = off[2];
+    scratchHot_ = off[3];
 }
 
-CONTIG_WORKLOAD_STREAM(SvmWorkload)
+CONTIG_WORKLOAD_NEXT(SvmWorkload)
 
 // --- pagerank -------------------------------------------------------------
 
@@ -220,27 +259,39 @@ PageRankWorkload::touchPattern(Process &proc)
     proc.touchRange(base(2), regions_[2].touchBytes);
 }
 
-inline MemAccess
-PageRankWorkload::generate(Rng &rng)
+void
+PageRankWorkload::fillAccesses(Rng &rng_io, MemAccess *out,
+                               std::size_t n)
 {
-    const double roll = rng.uniform();
-    if (roll < 0.55) {
-        edgeCursor_ += 8;
-        return {pc(0), at(0, edgeCursor_)};
+    // Kinds, by roll: 0 edge scan (55 %), 1 source-rank and 2
+    // destination-rank gathers (25 % and 20 %): a hot vertex for a
+    // while, then a jump to the next (power-law) neighbour.
+    constexpr std::uint64_t kSrc = Rng::cut(0.55);
+    constexpr std::uint64_t kDst = Rng::cut(0.80);
+    const std::uint64_t edges_end = regions_[0].touchBytes;
+    Rng rng = rng_io;
+    const Addr base_of[3] = {base(0).value, base(1).value,
+                             base(2).value};
+    std::uint64_t off[3] = {edgeCursor_, srcHot_, dstHot_};
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t roll = rng.bits53();
+        const unsigned kind = (roll >= kSrc) + (roll >= kDst);
+        const bool jump = rng.chanceIf(roll >= kSrc, 0.030);
+        advance(off[0], 8, kind == 0, edges_end);
+        if (jump) [[unlikely]] {
+            Rng cold = rng;
+            off[kind] = vertexZipf_->sample(cold) * 8;
+            rng = cold;
+        }
+        out[i] = {pc(kind), Gva{base_of[kind] + off[kind]}};
     }
-    if (roll < 0.80) {
-        // Source-rank gather: hot vertex for a while, then jump to
-        // the next (power-law) neighbour.
-        if (rng.chance(0.030))
-            srcHot_ = vertexZipf_->sample(rng) * 8;
-        return {pc(1), at(1, srcHot_)};
-    }
-    if (rng.chance(0.030))
-        dstHot_ = vertexZipf_->sample(rng) * 8;
-    return {pc(2), at(2, dstHot_)};
+    rng_io = rng;
+    edgeCursor_ = off[0];
+    srcHot_ = off[1];
+    dstHot_ = off[2];
 }
 
-CONTIG_WORKLOAD_STREAM(PageRankWorkload)
+CONTIG_WORKLOAD_NEXT(PageRankWorkload)
 
 // --- hashjoin --------------------------------------------------------------
 
@@ -268,21 +319,37 @@ HashjoinWorkload::touchPattern(Process &proc)
     proc.touchRange(base(1), regions_[1].touchBytes);
 }
 
-inline MemAccess
-HashjoinWorkload::generate(Rng &rng)
+void
+HashjoinWorkload::fillAccesses(Rng &rng_io, MemAccess *out,
+                               std::size_t n)
 {
-    if (rng.uniform() < 0.50) {
-        // Probe: each new bucket is uniformly random over the table;
-        // a bucket's chain is then followed for a few accesses.
-        if (rng.chance(0.020))
-            probeHot_ = rng.below(regions_[0].touchBytes) & ~7ull;
-        return {pc(0), at(0, probeHot_)};
+    // Kinds, by roll: 0 probe (50 %: each new bucket is uniformly
+    // random over the table; a bucket's chain is then followed for a
+    // few accesses), 1 sequential scan of the probe relation.
+    constexpr std::uint64_t kScan = Rng::cut(0.50);
+    const std::uint64_t table_end = regions_[0].touchBytes;
+    const std::uint64_t scan_end = regions_[1].touchBytes;
+    Rng rng = rng_io;
+    const Addr base_of[2] = {base(0).value, base(1).value};
+    std::uint64_t off[2] = {probeHot_, scanCursor_};
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t roll = rng.bits53();
+        const unsigned kind = roll >= kScan;
+        const bool jump = rng.chanceIf(roll < kScan, 0.020);
+        advance(off[1], 16, kind == 1, scan_end);
+        if (jump) [[unlikely]] {
+            Rng cold = rng;
+            off[0] = cold.below(table_end) & ~7ull;
+            rng = cold;
+        }
+        out[i] = {pc(kind), Gva{base_of[kind] + off[kind]}};
     }
-    scanCursor_ += 16;
-    return {pc(1), at(1, scanCursor_)};
+    rng_io = rng;
+    probeHot_ = off[0];
+    scanCursor_ = off[1];
 }
 
-CONTIG_WORKLOAD_STREAM(HashjoinWorkload)
+CONTIG_WORKLOAD_NEXT(HashjoinWorkload)
 
 // --- xsbench ---------------------------------------------------------------
 
@@ -299,29 +366,43 @@ XsbenchWorkload::XsbenchWorkload(const WorkloadConfig &cfg)
     regions_.push_back({concs + scaled(1 * kMiB), concs});
 }
 
-inline MemAccess
-XsbenchWorkload::generate(Rng &rng)
+void
+XsbenchWorkload::fillAccesses(Rng &rng_io, MemAccess *out,
+                              std::size_t n)
 {
-    const double roll = rng.uniform();
-    if (roll < 0.55) {
-        // Cross-section lookup: a nuclide's grid row is scanned for a
-        // while after each uniformly random jump.
-        if (rng.chance(0.018))
-            nuclideHot_ = rng.below(regions_[0].touchBytes) & ~7ull;
-        nuclideHot_ = (nuclideHot_ + 8) % regions_[0].touchBytes;
-        return {pc(0), at(0, nuclideHot_)};
+    // Kinds, by roll: 0 cross-section lookup (55 %: a nuclide's grid
+    // row is scanned for a while after each uniformly random jump),
+    // 1 binary search over the unionized energy grid (25 %), 2
+    // streamed concentrations.
+    constexpr std::uint64_t kEnergy = Rng::cut(0.55);
+    constexpr std::uint64_t kConc = Rng::cut(0.80);
+    std::uint64_t end[3];
+    for (int r = 0; r < 3; ++r)
+        end[r] = regions_[r].touchBytes;
+    Rng rng = rng_io;
+    const Addr base_of[3] = {base(0).value, base(1).value,
+                             base(2).value};
+    std::uint64_t off[3] = {nuclideHot_, energyHot_, concCursor_};
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t roll = rng.bits53();
+        const unsigned kind = (roll >= kEnergy) + (roll >= kConc);
+        const bool jump = rng.chanceIf(roll < kConc, 0.018);
+        if (jump) [[unlikely]] {
+            Rng cold = rng;
+            off[kind] = cold.below(end[kind]) & ~7ull;
+            rng = cold;
+        }
+        advance(off[0], 8, kind == 0, end[0]);
+        advance(off[2], 8, kind == 2, end[2]);
+        out[i] = {pc(kind), Gva{base_of[kind] + off[kind]}};
     }
-    if (roll < 0.80) {
-        // Binary search over the unionized energy grid.
-        if (rng.chance(0.018))
-            energyHot_ = rng.below(regions_[1].touchBytes) & ~7ull;
-        return {pc(1), at(1, energyHot_)};
-    }
-    concCursor_ += 8;
-    return {pc(2), at(2, concCursor_)};
+    rng_io = rng;
+    nuclideHot_ = off[0];
+    energyHot_ = off[1];
+    concCursor_ = off[2];
 }
 
-CONTIG_WORKLOAD_STREAM(XsbenchWorkload)
+CONTIG_WORKLOAD_NEXT(XsbenchWorkload)
 
 // --- bt ---------------------------------------------------------------------
 
@@ -350,30 +431,46 @@ BtWorkload::touchPattern(Process &proc)
     }
 }
 
-inline MemAccess
-BtWorkload::generate(Rng &rng)
+void
+BtWorkload::fillAccesses(Rng &rng_io, MemAccess *out, std::size_t n)
 {
     // Plane-major stride sweeps across the five solver arrays: the
     // k-dimension sweeps of BT stride by whole planes, so the TLB
     // misses are regular crossings into new huge pages — exactly the
     // regular-but-TLB-hostile pattern BT exhibits. A rare jump to a
-    // random plane models the start of a new sweep phase.
-    if (rng.chance(0.0005)) {
-        sweepArray_ = rng.below(regions_.size());
-        sweepCursor_ =
-            rng.below(regions_[sweepArray_].touchBytes) & ~63ull;
-        burst_ = 0;
+    // random plane models the start of a new sweep phase. The arrays
+    // are equal-sized, whole pages, and the cursor stays 64-byte
+    // aligned, so cursor + burst * 8 never passes the array's end.
+    constexpr std::uint64_t kJump = Rng::cut(0.0005);
+    const std::uint64_t end = regions_[0].touchBytes;
+    Rng rng = rng_io;
+    std::size_t array = sweepArray_;
+    Addr array_base = base(array).value;
+    std::uint64_t cursor = sweepCursor_;
+    unsigned burst = burst_;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (rng.bits53() < kJump) [[unlikely]] {
+            Rng cold = rng;
+            array = cold.below(regions_.size());
+            array_base = base(array).value;
+            cursor = cold.below(end) & ~63ull;
+            burst = 0;
+            rng = cold;
+        }
+        // A few cell reads per row, then stride one plane row ahead.
+        const bool next_row = ++burst >= 3;
+        burst &= static_cast<unsigned>(mask(!next_row));
+        advance(cursor, 32768, next_row, end);
+        out[i] = {pc(static_cast<unsigned>(array)),
+                  Gva{array_base + cursor + burst * 8}};
     }
-    // A few cell reads per row, then stride one plane row ahead.
-    if (++burst_ >= 3) {
-        burst_ = 0;
-        sweepCursor_ += 32768;
-    }
-    return {pc(static_cast<unsigned>(sweepArray_)),
-            at(sweepArray_, sweepCursor_ + burst_ * 8)};
+    rng_io = rng;
+    sweepArray_ = array;
+    sweepCursor_ = cursor;
+    burst_ = burst;
 }
 
-CONTIG_WORKLOAD_STREAM(BtWorkload)
+CONTIG_WORKLOAD_NEXT(BtWorkload)
 
 // --- tlbfriendly -------------------------------------------------------------
 
@@ -383,17 +480,24 @@ TlbFriendlyWorkload::TlbFriendlyWorkload(const WorkloadConfig &cfg)
     regions_.push_back({scaled(16 * kMiB), scaled(16 * kMiB)});
 }
 
-inline MemAccess
-TlbFriendlyWorkload::generate(Rng &rng)
+void
+TlbFriendlyWorkload::fillAccesses(Rng &rng, MemAccess *out,
+                                  std::size_t n)
 {
     (void)rng;
-    cursor_ += 8;
-    return {pc(0), at(0, cursor_)};
+    const std::uint64_t end = regions_[0].touchBytes;
+    const Addr base0 = base(0).value;
+    std::uint64_t cursor = cursor_;
+    for (std::size_t i = 0; i < n; ++i) {
+        advance(cursor, 8, true, end);
+        out[i] = {pc(0), Gva{base0 + cursor}};
+    }
+    cursor_ = cursor;
 }
 
-CONTIG_WORKLOAD_STREAM(TlbFriendlyWorkload)
+CONTIG_WORKLOAD_NEXT(TlbFriendlyWorkload)
 
-#undef CONTIG_WORKLOAD_STREAM
+#undef CONTIG_WORKLOAD_NEXT
 
 // --- factory / hog -----------------------------------------------------------
 

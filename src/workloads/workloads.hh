@@ -78,11 +78,11 @@ class Workload
      * Fill a chunk of steady-state accesses: exactly
      * `for (i < n) out[i] = nextAccess(rng)`, in one virtual call.
      * The base implementation is that loop, one virtual nextAccess
-     * per access. Every workload in this file overrides both entry
-     * points with calls to one private inline generator, so its chunk
-     * loop inlines the generator and the body exists once;
-     * tests/workloads pins both entry points to the same stream
-     * digest.
+     * per access. Every workload in this file does the reverse: its
+     * fillAccesses is the generator, over register copies of its
+     * cursors and Rng, and its nextAccess is a one-access fill, so
+     * the body exists once; tests/workloads pins both entry points,
+     * and any interleaving of them, to the same stream digest.
      */
     virtual void fillAccesses(Rng &rng, MemAccess *out, std::size_t n);
 
@@ -129,11 +129,18 @@ class Workload
 
     Gva base(std::size_t region) const { return vmas_[region]->start(); }
 
-    /** Address `off` bytes into region i (off wraps at touchBytes). */
+    /**
+     * Address `off` bytes into region i. The caller keeps `off` below
+     * the region's touchBytes (streams wrap their cursors where they
+     * advance), so there is no division here.
+     */
     Gva
     at(std::size_t region, std::uint64_t off) const
     {
-        return base(region) + (off % regions_[region].touchBytes);
+        contig_assert(off < regions_[region].touchBytes,
+                      "offset 0x%llx past region %zu",
+                      static_cast<unsigned long long>(off), region);
+        return base(region) + off;
     }
 
     std::uint64_t scaled(std::uint64_t bytes) const
@@ -165,8 +172,6 @@ class SvmWorkload : public Workload
     void touchPattern(Process &proc) override;
 
   private:
-    MemAccess generate(Rng &rng);
-
     std::unique_ptr<ZipfSampler> weightZipf_;
     std::uint64_t valuesCursor_ = 0;
     std::uint64_t colidxCursor_ = 0;
@@ -189,8 +194,6 @@ class PageRankWorkload : public Workload
     void touchPattern(Process &proc) override;
 
   private:
-    MemAccess generate(Rng &rng);
-
     std::unique_ptr<ZipfSampler> vertexZipf_;
     std::uint64_t edgeCursor_ = 0;
     std::uint64_t srcHot_ = 0;
@@ -210,8 +213,6 @@ class HashjoinWorkload : public Workload
     void touchPattern(Process &proc) override;
 
   private:
-    MemAccess generate(Rng &rng);
-
     std::uint64_t scanCursor_ = 0;
     std::uint64_t probeHot_ = 0;
 };
@@ -226,8 +227,6 @@ class XsbenchWorkload : public Workload
     void fillAccesses(Rng &rng, MemAccess *out, std::size_t n) override;
 
   private:
-    MemAccess generate(Rng &rng);
-
     std::uint64_t concCursor_ = 0;
     std::uint64_t nuclideHot_ = 0;
     std::uint64_t energyHot_ = 0;
@@ -246,8 +245,6 @@ class BtWorkload : public Workload
     void touchPattern(Process &proc) override;
 
   private:
-    MemAccess generate(Rng &rng);
-
     std::uint64_t sweepCursor_ = 0;
     std::size_t sweepArray_ = 0;
     unsigned burst_ = 0;
@@ -263,8 +260,6 @@ class TlbFriendlyWorkload : public Workload
     void fillAccesses(Rng &rng, MemAccess *out, std::size_t n) override;
 
   private:
-    MemAccess generate(Rng &rng);
-
     std::uint64_t cursor_ = 0;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include "base/rng.hh"
@@ -126,6 +128,90 @@ TEST(Rng, BelowRoughlyUniform)
         ++hist[rng.below(buckets)];
     for (auto c : hist)
         EXPECT_NEAR(c, n / static_cast<int>(buckets), n / 100);
+}
+
+namespace
+{
+
+/** Every probability a workload generator draws against. */
+constexpr double kGeneratorProbabilities[] = {
+    0.48, 0.70, 0.96, 0.055, 0.09, 0.55, 0.80, 0.030, 0.50, 0.020,
+    0.018, 0.0005};
+
+std::uint64_t
+stateWord(const Rng &rng, int i)
+{
+    std::uint64_t s[4];
+    rng.state(s);
+    return s[i];
+}
+
+} // namespace
+
+static_assert(Rng::cut(0.5) == 1ull << 52, "cut is a constant");
+static_assert(Rng::cut(0.0) == 0 && Rng::cut(1.0) == 1ull << 53,
+              "cut clamps to [0, 2^53]");
+
+TEST(Rng, CutMatchesTheUniformCompare)
+{
+    // For every probability p, `r < cut(p)` must hold exactly when
+    // the double compare `r * 2^-53 < p` does, for the 53-bit draws
+    // around the threshold, where a rounding slip would show.
+    std::vector<double> probs{0.0, 1.0, 0x1p-53, 0x1p-54, 0x1p-60,
+                              std::nextafter(1.0, 0.0),
+                              std::numeric_limits<double>::denorm_min(),
+                              0x1p-53 * 3, 0x1p-52 + 0x1p-80};
+    for (double p : kGeneratorProbabilities) {
+        probs.push_back(p);
+        probs.push_back(std::nextafter(p, 0.0));
+        probs.push_back(std::nextafter(p, 1.0));
+    }
+    for (double p : probs) {
+        const std::uint64_t c = Rng::cut(p);
+        ASSERT_LE(c, 1ull << 53) << p;
+        for (std::uint64_t r = c < 2 ? 0 : c - 2; r <= c + 1; ++r) {
+            if (r >= 1ull << 53)
+                break;
+            EXPECT_EQ(static_cast<double>(r) * 0x1p-53 < p, r < c)
+                << "p=" << p << " r=" << r << " cut=" << c;
+        }
+    }
+    // Outside [0, 1] the compare is constant, and so is the cut.
+    EXPECT_EQ(Rng::cut(-0.5), 0u);
+    EXPECT_EQ(Rng::cut(std::nan("")), 0u);
+    EXPECT_EQ(Rng::cut(2.0), 1ull << 53);
+}
+
+TEST(Rng, ChanceIfIsConditionalChance)
+{
+    // chanceIf(cond, p) must equal `cond && chance(p)` in its value
+    // and in all four state words after it, over a long seeded walk
+    // that mixes conditions, probabilities and plain draws.
+    Rng masked(2024), branchy(2024), driver(7);
+    std::vector<double> probs(std::begin(kGeneratorProbabilities),
+                              std::end(kGeneratorProbabilities));
+    probs.push_back(0.0);
+    probs.push_back(1.0);
+    for (int step = 0; step < 100000; ++step) {
+        const bool cond = driver.chance(0.5);
+        const double p = probs[driver.below(probs.size())];
+        std::uint64_t before[4];
+        masked.state(before);
+        const bool got = masked.chanceIf(cond, p);
+        const bool want = cond && branchy.chance(p);
+        ASSERT_EQ(got, want) << "step " << step;
+        for (int w = 0; w < 4; ++w) {
+            ASSERT_EQ(stateWord(masked, w), stateWord(branchy, w))
+                << "state word " << w << " at step " << step;
+            if (!cond) {
+                ASSERT_EQ(stateWord(masked, w), before[w])
+                    << "a false cond moved the state at step " << step;
+            }
+        }
+        if (step % 7 == 0) {
+            ASSERT_EQ(masked.bits53(), branchy.next() >> 11);
+        }
+    }
 }
 
 TEST(Rng, ShuffleIsPermutation)

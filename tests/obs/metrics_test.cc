@@ -195,6 +195,48 @@ TEST(MetricRegistry, ResetOwnedKeepsSources)
     reg.removeSource(id, false);
 }
 
+TEST(MetricRegistry, RestoreOwnedUndoesAbsorbsInPlace)
+{
+    MetricRegistry reg;
+    std::uint64_t &runs = reg.counter("runs");
+    Summary &lat = reg.summary("lat");
+    runs = 1;
+    lat.add(3.0);
+    reg.histogram("sizes").add(8);
+    {
+        MetricSource src(reg, "sim", [](MetricSink &sink) {
+            sink.counter("events", 5);
+        });
+    }
+    const SampleMap before = reg.snapshot();
+    const MetricRegistry::OwnedState saved = reg.saveOwned();
+
+    // Repetitions: more of everything, plus a metric that is new.
+    for (int i = 0; i < 3; ++i) {
+        MetricSource src(reg, "sim", [](MetricSink &sink) {
+            sink.counter("events", 5);
+        });
+        ++runs;
+        lat.add(100.0);
+        reg.histogram("sizes").add(1024);
+    }
+    reg.gauge("late") = 2.5;
+    reg.restoreOwned(saved);
+
+    const SampleMap after = reg.snapshot();
+    EXPECT_EQ(after.at("sim.events").counter, 5u);
+    EXPECT_EQ(after.at("runs").counter, 1u);
+    EXPECT_EQ(after.at("lat").summary.count(), 1u);
+    EXPECT_DOUBLE_EQ(after.at("lat").summary.max(), 3.0);
+    EXPECT_EQ(after.at("sizes").buckets, before.at("sizes").buckets);
+    EXPECT_EQ(after.at("late").gauge, 0.0);
+    // The references handed out before the restore still work.
+    ++runs;
+    lat.add(1.0);
+    EXPECT_EQ(reg.snapshot().at("runs").counter, 2u);
+    EXPECT_EQ(reg.snapshot().at("lat").summary.count(), 2u);
+}
+
 TEST(MetricRegistry, WriteJson)
 {
     MetricRegistry reg;

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -136,6 +137,163 @@ TEST(CtraceCodec, RejectsTrailingAndTruncatedBytes)
     // A short buffer must not read past the end.
     EXPECT_FALSE(ctraceDecodeChunk(enc.data(), enc.size() - 1, in.size(),
                                    out.data()));
+}
+
+namespace
+{
+
+/**
+ * The byte-at-a-time decoder ctraceDecodeChunk had before its word
+ * path: the differential oracle for every accept/reject decision.
+ */
+bool
+byteLoopDecode(const std::uint8_t *p, std::size_t n, std::size_t count,
+               MemAccess *out)
+{
+    std::size_t off = 0;
+    const auto varint = [&](std::uint64_t &v) {
+        v = 0;
+        for (unsigned shift = 0; shift < 64; shift += 7) {
+            if (off >= n)
+                return false;
+            const std::uint8_t b = p[off++];
+            v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+            if (!(b & 0x80))
+                return true;
+        }
+        return false;
+    };
+    std::uint64_t pc = 0, va = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        std::uint64_t dpc, dva;
+        if (!varint(dpc) || !varint(dva))
+            return false;
+        pc += (dpc >> 1) ^ (~(dpc & 1) + 1);
+        va += (dva >> 1) ^ (~(dva & 1) + 1);
+        out[i].pc = pc;
+        out[i].va = Gva{va};
+    }
+    return off == n;
+}
+
+/**
+ * Decode `enc` with count accesses through both decoders, from an
+ * exactly sized heap copy (so a sanitizer build catches any read past
+ * the end), and require the same verdict and the same output words.
+ */
+void
+expectSameDecode(const std::vector<std::uint8_t> &enc, std::size_t count,
+                 const char *what)
+{
+    const std::unique_ptr<std::uint8_t[]> exact(
+        new std::uint8_t[enc.size() + (enc.empty() ? 1 : 0)]);
+    std::copy(enc.begin(), enc.end(), exact.get());
+    std::vector<MemAccess> got(count, MemAccess{1, Gva{1}});
+    std::vector<MemAccess> want(count, MemAccess{1, Gva{1}});
+    const bool ok =
+        ctraceDecodeChunk(exact.get(), enc.size(), count, got.data());
+    ASSERT_EQ(ok, byteLoopDecode(exact.get(), enc.size(), count,
+                                 want.data()))
+        << what << ": verdict differs (" << enc.size() << " bytes, "
+        << count << " accesses)";
+    for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(got[i].pc, want[i].pc) << what << " access " << i;
+        ASSERT_EQ(got[i].va.value, want[i].va.value)
+            << what << " access " << i;
+    }
+}
+
+/** Accesses whose deltas encode to varints of every length, 1-10. */
+std::vector<MemAccess>
+mixedLengthAccesses(Rng &rng, std::size_t n)
+{
+    std::vector<MemAccess> a(n);
+    std::uint64_t pc = 0x400000, va = 0x7f0000000000ull;
+    for (MemAccess &x : a) {
+        pc += rng.chance(0.7) ? rng.below(4) * 0x40
+                              : rng.next() >> rng.below(64);
+        va += rng.next() >> rng.below(64);
+        x.pc = pc;
+        x.va = Gva{va};
+    }
+    return a;
+}
+
+} // namespace
+
+TEST(CtraceCodec, WordPathDecodesLikeTheByteLoop)
+{
+    Rng rng(31);
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::size_t n = 1 + rng.below(300);
+        const std::vector<MemAccess> in = mixedLengthAccesses(rng, n);
+        std::vector<std::uint8_t> enc;
+        ctraceEncodeChunk(in.data(), n, enc);
+        expectSameDecode(enc, n, "valid");
+        // The decode is exact, not just equal to the oracle.
+        std::vector<MemAccess> out(n);
+        ASSERT_TRUE(ctraceDecodeChunk(enc.data(), enc.size(), n,
+                                      out.data()));
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(out[i].pc, in[i].pc);
+            ASSERT_EQ(out[i].va.value, in[i].va.value);
+        }
+        // Wrong access counts on either side.
+        expectSameDecode(enc, n - 1, "count short");
+        expectSameDecode(enc, n + 1, "count long");
+        // Truncations, including inside the word-path reach.
+        for (int t = 0; t < 8; ++t)
+            expectSameDecode(std::vector<std::uint8_t>(
+                                 enc.begin(),
+                                 enc.begin() + rng.below(enc.size())),
+                             n, "truncated");
+        // Byte mutations: random bytes, flipped stop/continue bits.
+        for (int m = 0; m < 8; ++m) {
+            auto bad = enc;
+            const std::size_t at = rng.below(bad.size());
+            bad[at] = m % 2 ? static_cast<std::uint8_t>(rng.below(256))
+                            : bad[at] ^ 0x80;
+            expectSameDecode(bad, n, "mutated");
+        }
+    }
+}
+
+TEST(CtraceCodec, WordPathEdgeVarints)
+{
+    // Hand-built streams around the word path's limits: 8-byte
+    // varints (the longest it takes), 9- and 10-byte ones (byte loop),
+    // a 10-byte varint with bits past 64 (accepted, high bits
+    // dropped, as the byte loop always did) and 11-byte runs of
+    // continuation bytes (rejected), each at the start, in the
+    // middle and in the chunk's 20-byte tail.
+    const std::vector<std::vector<std::uint8_t>> varints = {
+        {0x00},
+        {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+        {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+        {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+        {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+        {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+         0x01},
+        {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+         0x80},
+    };
+    const std::vector<std::uint8_t> filler{0x02, 0x10};
+    for (const auto &v : varints) {
+        for (std::size_t pairs_before : {0u, 1u, 6u, 40u}) {
+            for (std::size_t pairs_after : {0u, 1u, 4u, 40u}) {
+                std::vector<std::uint8_t> enc;
+                for (std::size_t i = 0; i < pairs_before; ++i)
+                    enc.insert(enc.end(), filler.begin(), filler.end());
+                enc.insert(enc.end(), v.begin(), v.end());
+                enc.push_back(0x04);
+                for (std::size_t i = 0; i < pairs_after; ++i)
+                    enc.insert(enc.end(), filler.begin(), filler.end());
+                const std::size_t n = pairs_before + 1 + pairs_after;
+                expectSameDecode(enc, n, "edge varint");
+                expectSameDecode(enc, n + 1, "edge varint, count long");
+            }
+        }
+    }
 }
 
 TEST(AccessStream, PrimeSizedTotalEmitsExactRemainder)

@@ -203,6 +203,128 @@ INSTANTIATE_TEST_SUITE_P(
                (info.param.scale < 0.05 ? "_wrapping" : "");
     });
 
+/**
+ * A long pinned stream at a scale where every streamed cursor wraps
+ * many times: at 0.001 the largest streamed region (pagerank's edge
+ * array, 1.2 MiB) wraps five times in 2^21 accesses, svm's CSR
+ * values about 25 times, bt's plane sweep every ~170 accesses.
+ * hashjoin runs at 0.01, the smallest scale whose table fits its VMA
+ * (its probe relation then wraps four times).
+ */
+struct WrapCase
+{
+    const char *workload;
+    double scale;
+    /** FNV-1a over (pc, offset from the first VMA) of the stream. */
+    std::uint64_t digest;
+    /** FNV-1a over the stream Rng's four state words at the end. */
+    std::uint64_t rngState;
+};
+
+class WrappingStreamTest : public ::testing::TestWithParam<WrapCase>
+{
+  protected:
+    static constexpr std::uint64_t kTotal = 1u << 21;
+    static constexpr std::size_t kChunk = 4093;
+
+    static std::uint64_t
+    mix(std::uint64_t h, std::uint64_t v)
+    {
+        return (h ^ v) * 0x100000001b3ull;
+    }
+
+    static std::uint64_t
+    stateDigest(const Rng &rng)
+    {
+        std::uint64_t s[4];
+        rng.state(s);
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        for (std::uint64_t w : s)
+            h = mix(h, w);
+        return h;
+    }
+
+    /** A populated instance of the case's workload. */
+    std::unique_ptr<Workload>
+    make(NativeSystem &sys, const char *proc_name)
+    {
+        WorkloadConfig cfg;
+        cfg.scale = GetParam().scale;
+        cfg.seed = 42;
+        auto wl = makeWorkload(GetParam().workload, cfg);
+        wl->setup(sys.kernel().createProcess(proc_name));
+        return wl;
+    }
+};
+
+TEST_P(WrappingStreamTest, EntryPointsAgreeAcrossWraps)
+{
+    // Pinned from the per-access branching generators: nextAccess,
+    // chunked fillAccesses and any interleaving of the two must all
+    // produce that stream and leave the Rng in the same state.
+    const WrapCase &c = GetParam();
+    NativeSystem sys(PolicyKind::Thp, 3);
+    std::unique_ptr<Workload> wl[3] = {make(sys, "a"), make(sys, "b"),
+                                       make(sys, "c")};
+    Rng rng[3] = {Rng(9), Rng(9), Rng(9)};
+    std::uint64_t digest[3];
+    std::vector<MemAccess> buf(kChunk);
+    for (int k = 0; k < 3; ++k) {
+        const std::uint64_t base = wl[k]->vmas()[0]->start().value;
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        const auto fold = [&](const MemAccess &a) {
+            h = mix(mix(h, a.pc), a.va.value - base);
+        };
+        std::uint64_t i = 0;
+        // k = 0: nextAccess only; 1: fillAccesses only (the final
+        // chunk short); 2: nextAccess x3, a 4093 chunk, nextAccess x1,
+        // a 4093 chunk, ... — each call continues the other's stream.
+        for (unsigned step = 0; i < kTotal; ++step) {
+            const bool fill = k == 1 || (k == 2 && step % 2 == 1);
+            if (fill) {
+                const std::size_t n = std::min<std::uint64_t>(
+                    kChunk, kTotal - i);
+                wl[k]->fillAccesses(rng[k], buf.data(), n);
+                for (std::size_t j = 0; j < n; ++j)
+                    fold(buf[j]);
+                i += n;
+            } else {
+                const unsigned n = k == 2 && step % 4 == 2 ? 1 : 3;
+                for (unsigned j = 0; j < n && i < kTotal; ++j, ++i)
+                    fold(wl[k]->nextAccess(rng[k]));
+            }
+        }
+        digest[k] = h;
+    }
+    EXPECT_EQ(digest[0], c.digest) << "nextAccess stream moved";
+    EXPECT_EQ(digest[1], c.digest) << "fillAccesses stream moved";
+    EXPECT_EQ(digest[2], c.digest) << "interleaved stream moved";
+    for (int k = 0; k < 3; ++k)
+        EXPECT_EQ(stateDigest(rng[k]), c.rngState)
+            << "end Rng state moved (entry pattern " << k << ")";
+    for (auto &w : wl)
+        w->teardown();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, WrappingStreamTest,
+    ::testing::Values(
+        WrapCase{"svm", 0.001, 0x187c816e44c21345ull,
+                 0x9f196023c77d79c0ull},
+        WrapCase{"pagerank", 0.001, 0x0a3abe8be0ecefc5ull,
+                 0x3cb2969fe8116ed3ull},
+        WrapCase{"hashjoin", 0.01, 0x4b1220651eee4e25ull,
+                 0xfff7ac1722f5f8bcull},
+        WrapCase{"xsbench", 0.001, 0xacae09b237859aa5ull,
+                 0x0be58922dea2cdeaull},
+        WrapCase{"bt", 0.001, 0x3d06c0278a2491bdull,
+                 0x396a24773b45be3aull},
+        WrapCase{"tlbfriendly", 0.001, 0xd7ab96f952222325ull,
+                 0x70497a2e4d62d37dull}),
+    [](const ::testing::TestParamInfo<WrapCase> &info) {
+        return std::string(info.param.workload);
+    });
+
 TEST(Workloads, FactoryRejectsUnknown)
 {
     EXPECT_DEATH((void)makeWorkload("nonsense", quick()), "unknown");
